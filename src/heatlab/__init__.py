@@ -23,7 +23,6 @@ from .spectrum import (
     elliptic_lift,
     heat_propagate,
     lift_residual,
-    project_high,
     project_low,
     sup_embedding_constant,
     weyl_exponent,

@@ -254,6 +254,10 @@ def run_constant_sweep(cfg, out: Path, log, threads):
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         for nm in norms:
             consts = list(pool.map(lambda lam: one(nm, lam), grid))
+            if nm == "sup":
+                log(f"sup: {sum(c.lp_solved for c in consts)} LPs solved, "
+                    f"{sum(c.lp_pruned for c in consts)} pruned")
+                consts = [c.value for c in consts]
             rows += [(nm, lam, c) for lam, c in zip(grid, consts)]
             sweep = ConstantSweep(grid, np.array(consts), nm)
             fit = fit_growth(sweep)

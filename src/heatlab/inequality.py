@@ -22,6 +22,7 @@ from .obsets import CELL_MASK, POINT_CLOUD, ObservationSet
 from .spectrum import Spectrum, as_field
 
 GRAM_SINGULAR = 1e-14   # below this the restricted Gram is reported unobservable
+LP_FEASIBILITY_TOL = 1e-7   # HiGHS primal/dual feasibility tolerance: slack on pruned bounds
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +80,6 @@ def restricted_l1(obs: ObservationSet, values: np.ndarray) -> float:
     if obs.kind != CELL_MASK:
         raise ValueError("L1 restriction needs a cell mask")
     return float(np.sum(obs.node_weights * np.abs(values)))
-
-
-def restricted_l2(obs: ObservationSet, values: np.ndarray) -> float:
-    if obs.kind != CELL_MASK:
-        raise ValueError("L2 restriction needs a cell mask")
-    return float(np.sqrt(np.sum(obs.node_weights * values ** 2)))
 
 
 def restricted_sup(obs: ObservationSet, values: np.ndarray) -> float:
@@ -197,29 +192,81 @@ def constant_l1(spectrum: Spectrum, obs: ObservationSet, lam_max: float,
     return L1Constant(best_val, best_u, V @ best_u, any_converged, floor)
 
 
-def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> float:
+@dataclass(frozen=True)
+class SupConstant:
+    value: float
+    lp_solved: int      # linear programs handed to the solver
+    lp_pruned: int      # grid nodes whose linear program was never solved
+
+
+def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> SupConstant:
     """Exact discrete constant sup { ||phi||_inf : phi in the band,
-    |phi| <= 1 on the cloud }, via one linear program per grid node.
-    Returns inf when some band combination vanishes on the whole cloud."""
+    |phi| <= 1 on the cloud }, the maximum over grid nodes y of the linear
+    program g(V[y]) = max { V[y] u : |P u| <= 1 }, where V is the band basis
+    and P its m cloud rows.
+
+    Only nodes that can still win are solved. LP duality bounds g for every
+    node at once: for any lambda, g(c) <= ||lambda||_1 +
+    ||c - P^T lambda||_2 sqrt(m) / sigma_min(P), taken at
+    lambda = pinv(P^T) c. g is sublinear, so each solved node y0 tightens
+    the bound to g(V[y0]) + bound(V[y] - V[y0]). An ascent from the node
+    with the largest bound (solve, jump to argmax |V u*|, until a node
+    repeats) finds a large value early; the other nodes are then solved in
+    order of decreasing bound while the bound reaches the best value within
+    the solver's feasibility tolerance. A skipped node is certified not to
+    beat the best, so the value is that of one LP per node. A rank-deficient
+    P makes every bound infinite, so every node is solved until the first
+    unbounded LP. Returns inf when some band combination vanishes on the
+    whole cloud. `lp_solved` and `lp_pruned` count the nodes solved and
+    skipped.
+    """
     if obs.kind != POINT_CLOUD:
         raise ValueError("the sup constant needs a point cloud")
     band = _band(spectrum, lam_max)
     V = spectrum.vectors[:, band]
     P = V[obs.domain.node_to_unknown[obs.points], :]
+    m, k = P.shape
+    # sigma_min less the SVD's backward error: a numerically singular P counts as singular
+    sigma = np.linalg.svd(P, compute_uv=False)
+    sigma_min = sigma[-1] - sigma[0] * max(m, k) * np.finfo(float).eps if m >= k else 0.0
+    scale = math.sqrt(m) / sigma_min if sigma_min > 0 else math.inf
+    dual = V @ np.linalg.pinv(P)          # row y: pinv(P^T) V[y]
+    resid = V - dual @ P
+
+    def bound(dual_rows, resid_rows):
+        with np.errstate(invalid="ignore"):   # 0 * inf: a zero residual proves nothing
+            slack = np.linalg.norm(resid_rows, axis=1) * scale
+        return np.abs(dual_rows).sum(axis=1) + np.where(np.isnan(slack), np.inf, slack)
+
     A_ub = np.vstack([P, -P])
-    b_ub = np.ones(2 * P.shape[0])
-    bounds = [(None, None)] * band.size
-    best = 0.0
-    for y in range(V.shape[0]):
+    b_ub = np.ones(2 * m)
+    bounds = [(None, None)] * k
+    n = V.shape[0]
+    upper = bound(dual, resid)
+    best, solved = 0.0, 0
+    y, ascending = int(np.argmax(upper)), True
+    while True:
         res = scipy.optimize.linprog(-V[y], A_ub=A_ub, b_ub=b_ub, bounds=bounds,
                                      method="highs")
-        if res.status == 3:
-            return float("inf")
+        solved += 1
+        # u = 0 is feasible, so an infeasibility verdict (HiGHS presolve gives
+        # one for some unbounded LPs) can only be the dual's: unbounded as well
+        if res.status in (2, 3):
+            return SupConstant(float("inf"), solved, n - solved)
         if res.status != 0:
             raise NumericalFailureError(f"sup-constant LP failed at node {y}",
                                         {"status": res.status, "message": res.message})
         best = max(best, -res.fun)
-    return float(best)
+        upper = np.minimum(upper, -res.fun + bound(dual - dual[y], resid - resid[y]))
+        upper[y] = -np.inf                # marks a solved node
+        if ascending:                     # jump to where u* peaks until a node repeats
+            y = int(np.argmax(np.abs(V @ res.x)))
+            ascending = upper[y] > -np.inf
+        if not ascending:
+            y = int(np.argmax(upper))
+            if upper[y] < best * (1 - LP_FEASIBILITY_TOL):
+                break
+    return SupConstant(float(best), solved, n - solved)
 
 
 # ---------------------------------------------------------------------------

@@ -172,13 +172,6 @@ def project_low(spectrum: Spectrum, f, lam_max: float) -> Field:
     return Field(spectrum.synthesize_values(u), u)
 
 
-def project_high(spectrum: Spectrum, f, lam_max: float) -> Field:
-    """Complementary projection onto modes with lambda_k > lam_max."""
-    u = spectrum.coefficients(f).copy()
-    u[spectrum.frequencies <= lam_max] = 0.0
-    return Field(spectrum.synthesize_values(u), u)
-
-
 def heat_propagate(spectrum: Spectrum, f, t: float) -> Field:
     """e^{t Delta} f on the computed span (exact when the spectrum is complete)."""
     if t < 0:

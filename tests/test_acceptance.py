@@ -107,13 +107,13 @@ def test_criterion_03_sup_constants_on_cantor_cloud(workhorse):
         dom, op, spec = workhorse
         cloud = cantor_set(dom, 1 / 3, 6)
         grid = np.linspace(1.5, 12.5, 10)
-        consts = np.array([constant_sup(spec, cloud, lam) for lam in grid])
+        consts = np.array([constant_sup(spec, cloud, lam).value for lam in grid])
         assert np.all(np.isfinite(consts))
         fit = fit_growth(ConstantSweep(grid, consts, "sup"))
         assert fit.r_squared >= 0.85
         # brute-force agreement where three modes are active
         lam3 = spec.frequencies[2] + 0.1
-        c3 = constant_sup(spec, cloud, lam3)
+        c3 = constant_sup(spec, cloud, lam3).value
         V = spec.vectors[:, :3]
         P = V[dom.node_to_unknown[cloud.points], :]
         th = np.linspace(0, np.pi, 200)
@@ -151,7 +151,7 @@ def test_criterion_04_oracle_equivalence(workhorse):
         assert abs(res.value - brute) / brute <= 0.02
         # sup LP vs a fine sphere grid, 3 modes on 5 points
         cloud = point_cloud(dom, [[0.4], [1.1], [1.7], [2.3], [2.9]])
-        c_lp = constant_sup(spec, cloud, lam3)
+        c_lp = constant_sup(spec, cloud, lam3).value
         P = spec.vectors[dom.node_to_unknown[cloud.points], :3]
         th = np.linspace(0, np.pi, 200)
         ph = np.linspace(0, 2 * np.pi, 400, endpoint=False)

@@ -127,6 +127,24 @@ def test_byte_identical_reruns(tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
+def test_sup_sweep_logs_lp_counts(tmp_path):
+    cfg = {"experiment": "constant-sweep", "domain": dict(INTERVAL, cells=60),
+           "coefficients": CONST, "seed": 0,
+           "set": {"kind": "cantor", "ratio": 0.3, "levels": 3},
+           "lambda_grid": {"min": 1.5, "max": 5.5, "count": 5},
+           "norms": ["sup"]}
+    _, checks, out1 = run(dict(cfg), out_dir=tmp_path / "a", threads=1)
+    _, _, out2 = run(dict(cfg), out_dir=tmp_path / "b", threads=2)
+    assert all(checks.values())
+    log1 = (out1 / "run.log").read_text().splitlines()
+    log2 = (out2 / "run.log").read_text().splitlines()
+    assert log1[1:] == log2[1:]   # the first line names the thread count
+    (line,) = [ln for ln in log1 if "LPs solved" in ln]
+    solved, pruned = (int(w) for w in line.replace(",", "").split() if w.isdigit())
+    assert solved + pruned == 59 * 5
+    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
 def test_double_check_run(tmp_path):
     cfg = {"experiment": "double-check", "domain": dict(INTERVAL, cells=80),
            "coefficients": {"kind": "piecewise_linear", "lip_g": 0.5,

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heatlab import (
     DIRICHLET,
@@ -7,6 +10,7 @@ from heatlab import (
     ConstantSweep,
     assemble,
     build_interval,
+    cantor_set,
     compute_spectrum,
     constant_coefficients,
     constant_l1,
@@ -25,7 +29,7 @@ from heatlab import (
 )
 from heatlab.control import lr_schedule
 from heatlab.errors import InsufficientDataError, SearchFailureError
-from heatlab.inequality import TimeSequence
+from heatlab.inequality import LP_FEASIBILITY_TOL, TimeSequence
 from heatlab.spectrum import Spectrum
 
 
@@ -141,7 +145,7 @@ def test_constant_sup_single_point_scaling(setup):
     x0 = dom.unknown_coords()[150, 0]
     obs = point_cloud(dom, [[x0]])
     lam1 = spec.frequencies[0]
-    c = constant_sup(spec, obs, lam1 + 0.1)
+    c = constant_sup(spec, obs, lam1 + 0.1).value
     e1 = spec.vectors[:, 0]
     i0 = np.where(np.isclose(dom.unknown_coords()[:, 0], x0))[0][0]
     assert c == pytest.approx(np.abs(e1).max() / abs(e1[i0]), rel=1e-6)
@@ -152,7 +156,7 @@ def test_constant_sup_null_observation_flagged(setup):
     # e_2 = sin(2x) vanishes at pi/2, which is a grid node for 400 cells
     obs = point_cloud(dom, [[np.pi / 2]])
     lam = spec.frequencies[1] + 0.05
-    assert constant_sup(spec, obs, lam) == np.inf
+    assert constant_sup(spec, obs, lam).value == np.inf
 
 
 def test_constant_sup_oracles(setup):
@@ -161,7 +165,7 @@ def test_constant_sup_oracles(setup):
     pts = [[0.4], [1.1], [1.7], [2.3], [2.9]]
     obs = point_cloud(dom, pts)
     lam = spec.frequencies[2] + 0.1
-    c = constant_sup(spec, obs, lam)
+    c = constant_sup(spec, obs, lam).value
     V = spec.vectors[:, :3]
     P = V[spec.operator.domain.node_to_unknown[obs.points], :]
     rng = np.random.default_rng(17)
@@ -182,9 +186,102 @@ def test_constant_sup_homogeneity(setup):
     dom, op, spec = setup
     obs = point_cloud(dom, [[0.5], [1.5], [2.5]])
     lam = spec.frequencies[1] + 0.1
-    c = constant_sup(spec, obs, lam)
+    c = constant_sup(spec, obs, lam).value
     scaled = Spectrum(op, spec.frequencies, spec.vectors * 3.7, spec.weights)
-    assert constant_sup(scaled, obs, lam) == pytest.approx(c, rel=1e-8)
+    assert constant_sup(scaled, obs, lam).value == pytest.approx(c, rel=1e-8)
+
+
+def exhaustive_sup(spec, obs, lam):
+    """Reference sup constant: one linear program per grid node."""
+    band = spec.band(lam)
+    V = spec.vectors[:, band]
+    P = V[obs.domain.node_to_unknown[obs.points], :]
+    A_ub = np.vstack([P, -P])
+    b_ub = np.ones(2 * P.shape[0])
+    best = 0.0
+    for y in range(V.shape[0]):
+        res = scipy.optimize.linprog(-V[y], A_ub=A_ub, b_ub=b_ub,
+                                     bounds=[(None, None)] * band.size, method="highs")
+        if res.status in (2, 3):   # infeasible can only mean the dual: u = 0 is feasible
+            return np.inf
+        assert res.status == 0, res.message
+        best = max(best, -res.fun)
+    return best
+
+
+@st.composite
+def interval_problems(draw):
+    """A 1-D grid of 20-80 cells, 1-12 cloud nodes drawn with replacement (so
+    snapped duplicates occur), and a cutoff between two consecutive modes."""
+    cells = draw(st.integers(20, 80))
+    bc = draw(st.sampled_from([DIRICHLET, NEUMANN]))
+    n_unknowns = cells - 1 if bc == DIRICHLET else cells + 1
+    nodes = draw(st.lists(st.integers(0, n_unknowns - 1), min_size=1, max_size=12))
+    modes = draw(st.integers(1, 16))
+    return cells, bc, nodes, modes
+
+
+def interval_spectrum(cells, bc):
+    dom = build_interval(np.pi, cells, bc)
+    return dom, compute_spectrum(assemble(dom, constant_coefficients(dom)))
+
+
+def cutoff_after(spec, modes):
+    """A frequency cutoff keeping exactly the first `modes` modes."""
+    f = spec.frequencies
+    return 0.5 * (f[modes - 1] + f[modes]) if modes < f.size else f[-1] + 1.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(problem=interval_problems())
+@example(problem=(40, DIRICHLET, [7, 7, 7], 1))            # one distinct node
+@example(problem=(20, DIRICHLET, [0], 3))                  # presolve calls unbounded LPs infeasible
+@example(problem=(40, DIRICHLET, [3, 11, 11, 30], 4))      # duplicates, rank 3 < 4 modes
+@example(problem=(33, NEUMANN, [2, 9, 9, 20, 28, 28], 3))  # duplicates, full rank
+@example(problem=(25, DIRICHLET, [4, 15], 6))              # fewer points than modes
+def test_constant_sup_pruning_matches_exhaustive(problem):
+    cells, bc, nodes, modes = problem
+    dom, spec = interval_spectrum(cells, bc)
+    obs = point_cloud(dom, dom.unknown_coords()[nodes])
+    lam = cutoff_after(spec, modes)
+    got = constant_sup(spec, obs, lam)
+    want = exhaustive_sup(spec, obs, lam)
+    assert got.lp_solved + got.lp_pruned == dom.n_unknowns
+    if np.isinf(want):
+        assert np.isinf(got.value)
+    else:
+        assert got.value == pytest.approx(want, rel=1e-12)
+
+
+def test_constant_sup_prunes_cantor_sweep(setup):
+    # the grid, cloud and cutoffs of configs/cantor_sup_sweep.json
+    dom, op, spec = setup
+    cloud = cantor_set(dom, 1 / 3, 6)
+    grid = np.linspace(1.5, 12.5, 10)
+    results = [constant_sup(spec, cloud, lam) for lam in grid]
+    assert all(r.lp_solved + r.lp_pruned == dom.n_unknowns for r in results)
+    assert sum(r.lp_solved for r in results) <= 0.1 * dom.n_unknowns * grid.size
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(problem=interval_problems(), extra=st.integers(1, 8), data=st.data())
+def test_constants_nondecreasing_in_cutoff(problem, extra, data):
+    # nested bands: every field of the lower band lies in the upper one
+    cells, bc, nodes, modes = problem
+    dom, spec = interval_spectrum(cells, bc)
+    lo = cutoff_after(spec, modes)
+    hi = cutoff_after(spec, min(modes + extra, spec.n_modes))
+    cloud = point_cloud(dom, dom.unknown_coords()[nodes])
+    sup_lo, sup_hi = constant_sup(spec, cloud, lo).value, constant_sup(spec, cloud, hi).value
+    assert sup_lo <= sup_hi * (1 + 4 * LP_FEASIBILITY_TOL)
+    cells_in = data.draw(st.lists(st.integers(0, cells - 1), min_size=1, max_size=cells))
+    mask = np.zeros(cells, dtype=bool)
+    mask[cells_in] = True
+    obs = set_from_mask(dom, mask, kappa_of(spec))
+    # lam_min of the restricted Gram interlaces; ||G|| <= 1, so compare C^-2
+    # up to the eigensolver's absolute error
+    l2_lo, l2_hi = constant_l2(spec, obs, lo), constant_l2(spec, obs, hi)
+    assert l2_hi ** -2 <= l2_lo ** -2 + 64 * np.finfo(float).eps
 
 
 def test_fit_growth_flat_degenerate():
