@@ -208,7 +208,7 @@ def run_spectrum(cfg, out: Path, log, threads):
     sup = spec.sup_norms()
     write_csv(out / "spectrum.csv", ["k", "lambda", "sup_norm"],
               [(k + 1, spec.frequencies[k], sup[k]) for k in range(spec.n_modes)])
-    rep = spec.validate()
+    rep = spec.validation
     summary = {"n_modes": spec.n_modes, "n_unknowns": op.n, "invariants": rep}
     d = domain.dimension
     try:
@@ -230,10 +230,10 @@ def run_spectrum(cfg, out: Path, log, threads):
 def run_constant_sweep(cfg, out: Path, log, threads):
     domain = build_domain(cfg["domain"])
     coeffs = build_coefficients(domain, cfg["coefficients"], cfg["seed"])
-    op = assemble(domain, coeffs)
-    spec = compute_spectrum(op)
-    obs = build_set(domain, _need(cfg, "set", dict), cfg["seed"], coeffs.kappa)
     grid = _lambda_grid(_need(cfg, "lambda_grid", (dict, list)))
+    op = assemble(domain, coeffs)
+    spec = compute_spectrum(op, lam_max=grid[-1])
+    obs = build_set(domain, _need(cfg, "set", dict), cfg["seed"], coeffs.kappa)
     norms = cfg.get("norms", ["l2"] if obs.kind == "cell_mask" else ["sup"])
     for nm in norms:
         if nm in ("l2", "l1") and obs.kind != "cell_mask":

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import heatlab.spectrum
 from heatlab.cli import main
 from heatlab.errors import ConfigError
 from heatlab.experiments import run, validate_config
@@ -113,18 +114,47 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(notjson)]) == 2
 
 
-def test_byte_identical_reruns(tmp_path):
-    cfg = {"experiment": "constant-sweep", "domain": dict(INTERVAL, cells=200),
+SQUARE_24 = {"kind": "rectangle", "lx": math.pi, "ly": math.pi, "nx": 24, "ny": 24,
+             "bc": "dirichlet"}
+
+
+@pytest.mark.parametrize("domain, measure, band", [
+    (dict(INTERVAL, cells=200), 1.0, False),
+    (SQUARE_24, 3.0, True),     # 529 unknowns: shift-invert band solve
+], ids=["interval-dense", "square-band"])
+def test_byte_identical_reruns(tmp_path, monkeypatch, domain, measure, band):
+    if band:
+        def no_dense(op):
+            raise AssertionError("dense eigensolve on a band request")
+        monkeypatch.setattr(heatlab.spectrum, "_dense_solve", no_dense)
+    cfg = {"experiment": "constant-sweep", "domain": domain,
            "coefficients": {"kind": "piecewise_linear", "lip_g": 1.0,
                             "lip_kappa": 1.0},
            "seed": 7,
-           "set": {"kind": "random", "measure": 1.0},
+           "set": {"kind": "random", "measure": measure},
            "lambda_grid": {"min": 1.5, "max": 6.5, "count": 6},
            "norms": ["l2"]}
-    _, _, out1 = run(dict(cfg), out_dir=tmp_path / "a", threads=1)
-    _, _, out2 = run(dict(cfg), out_dir=tmp_path / "b", threads=4)
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+    outs = [run(dict(cfg), out_dir=tmp_path / name, threads=threads)[2]
+            for name, threads in (("a", 1), ("b", 4), ("c", 1))]
+    for name in ("sweep.csv", "summary.json"):
+        first = (outs[0] / name).read_bytes()
+        assert all((out / name).read_bytes() == first for out in outs[1:])
+
+
+def test_spectrum_run_validates_once(tmp_path, monkeypatch):
+    calls = []
+    validate = heatlab.spectrum.Spectrum.validate
+
+    def counted(self):
+        calls.append(self.n_modes)
+        return validate(self)
+    monkeypatch.setattr(heatlab.spectrum.Spectrum, "validate", counted)
+    cfg = {"experiment": "spectrum", "domain": INTERVAL, "coefficients": CONST,
+           "seed": 0, "count": 30}
+    summary, checks, _ = run(cfg, out_dir=tmp_path / "v")
+    assert calls == [30]
+    assert all(checks.values())
+    assert summary["invariants"]["eigen_residual"] <= 1e-8
 
 
 def test_sup_sweep_logs_lp_counts(tmp_path):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from heatlab import (
     DIRICHLET,
@@ -19,7 +22,8 @@ from heatlab import (
     sup_embedding_constant,
     weyl_exponent,
 )
-from heatlab.errors import InsufficientDataError
+from heatlab import spectrum as spectrum_module
+from heatlab.errors import InsufficientDataError, NumericalFailureError
 
 
 def interval_spectrum(n, bc=DIRICHLET, length=np.pi, **kw):
@@ -72,14 +76,88 @@ def test_orthonormality_and_residual_random_coefficients():
     assert rep["ascending"]
 
 
-def test_lanczos_matches_dense_band():
-    dom = build_interval(np.pi, 120, DIRICHLET)
+def dense_oracle(op):
+    """Every eigenpair by scipy.linalg.eigh on the w^{-1/2}-symmetrized K, with
+    w-normalized vectors whose largest-magnitude entry is positive."""
+    w_isqrt = 1.0 / np.sqrt(op.w)
+    A = (op.K * w_isqrt[:, None]) * w_isqrt[None, :]
+    lam2, Y = scipy.linalg.eigh(0.5 * (A + A.T))
+    V = w_isqrt[:, None] * Y
+    V = V / np.sqrt(np.sum(op.w[:, None] * V**2, axis=0))
+    V = V * np.sign(V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])])
+    return np.maximum(lam2, 0.0), V
+
+
+def band_only(monkeypatch):
+    """Make any dense solve fail, so a passing call took the band path."""
+    def no_dense(op):
+        raise AssertionError("dense eigensolve on a band request")
+    monkeypatch.setattr(spectrum_module, "_dense_solve", no_dense)
+
+
+def lipschitz_square(n, seed=2):
+    dom = build_rectangle(np.pi, np.pi, n, n, DIRICHLET)
+    return assemble(dom, random_lipschitz_coefficients(dom, 0.5, 0.5, seed=seed))
+
+
+@pytest.mark.parametrize("request_", [{"count": 40}, {"lam_max": 8.0}],
+                         ids=["count", "lam_max"])
+def test_band_solver_matches_dense_oracle(request_, monkeypatch):
+    op = lipschitz_square(26)
+    assert op.n >= spectrum_module._BAND_MIN_UNKNOWNS
+    lam2, V = dense_oracle(op)
+    band_only(monkeypatch)
+    spec = compute_spectrum(op, **request_)
+    m = request_.get("count") or int(np.count_nonzero(np.sqrt(lam2) <= request_["lam_max"]))
+    assert spec.n_modes == m
+    assert np.allclose(spec.eigenvalues, lam2[:m], rtol=1e-10, atol=0)
+    overlap = np.diag(V[:, :m].T @ (op.w[:, None] * spec.vectors))
+    assert np.abs(overlap - 1).max() <= 1e-10   # signs included
+    assert spec.validation == spec.validate()
+
+
+@pytest.mark.parametrize("side", [1 + 1e-9, 1 - 1e-9], ids=["above", "below"])
+def test_band_cutoff_on_degenerate_pair(side, monkeypatch):
+    # constant coefficients on a square: modes (i, j) and (j, i) share a frequency
+    dom = build_rectangle(np.pi, np.pi, 24, 24, DIRICHLET)
     op = assemble(dom, constant_coefficients(dom))
-    dense = compute_spectrum(op, count=12)
-    lanc = compute_spectrum(op, count=12, method="lanczos")
-    assert np.allclose(dense.eigenvalues, lanc.eigenvalues, rtol=1e-8)
-    overlap = np.abs(dense.vectors.T @ (op.w[:, None] * lanc.vectors))
-    assert np.abs(np.diag(overlap) - 1).max() <= 1e-8
+    lam2, _ = dense_oracle(op)
+    h = dom.h[0]
+    e = (2 - 2 * np.cos(np.arange(1, 5) * h)) / h**2
+    pair = np.sqrt(e[1] + e[3])           # modes (2, 4) and (4, 2)
+    assert np.count_nonzero(np.abs(np.sqrt(lam2) - pair) <= 1e-9 * pair) == 2
+    lam_max = pair * side
+    band_only(monkeypatch)
+    spec = compute_spectrum(op, lam_max=lam_max)
+    assert spec.n_modes == np.count_nonzero(np.sqrt(lam2) <= lam_max)
+    assert np.count_nonzero(np.abs(spec.frequencies - pair) <= 1e-9 * pair) == (2 if side > 1 else 0)
+
+
+def test_certificate_rejects_skipped_modes():
+    op = lipschitz_square(24)
+    K, W = scipy.sparse.csr_matrix(op.K), scipy.sparse.diags(op.w)
+    lam2, _ = dense_oracle(op)
+    k = 20
+    cut = 0.5 * (lam2[k - 1] + lam2[k])   # exactly k eigenvalues below
+    assert spectrum_module._certify(K, W, lam2[:k], ((cut, k),))
+    with pytest.raises(NumericalFailureError):   # an interior mode dropped
+        spectrum_module._certify(K, W, np.delete(lam2[:k], 7))
+    with pytest.raises(NumericalFailureError):   # a k one short of the band
+        spectrum_module._certify(K, W, lam2[:k - 1], ((cut, k),))
+
+
+def test_band_solve_that_skips_a_mode_raises(monkeypatch):
+    op = lipschitz_square(24)
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def skipping_eigsh(A, k, **kw):
+        vals, vecs = eigsh(A, k=k + 1, **kw)
+        drop = np.argsort(vals)[k // 2]
+        return np.delete(vals, drop), np.delete(vecs, drop, axis=1)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", skipping_eigsh)
+    with pytest.raises(NumericalFailureError):
+        compute_spectrum(op, count=20)
 
 
 def test_projector_identity_zero_idempotent():
