@@ -14,9 +14,8 @@ from .domain import (
     make_coefficients,
     random_lipschitz_coefficients,
 )
-from .operators import DiscreteOperator, apply, assemble, operator_apply
+from .operators import DiscreteOperator, assemble
 from .spectrum import (
-    Field,
     Spectrum,
     compute_spectrum,
     eigen_sup_exponent,
@@ -37,7 +36,6 @@ from .obsets import (
     full_domain_set,
     hausdorff_content,
     interval_mask,
-    lebesgue_measure,
     point_cloud,
     random_set,
     set_from_mask,
@@ -54,7 +52,6 @@ from .inequality import (
     fubini_slices,
     interpolation_check,
     phung_wang_times,
-    restricted_gram,
     telescope_check,
 )
 from .control import (

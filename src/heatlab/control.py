@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SynthesisFailureError
 from .inequality import TimeSequence
 from .obsets import CELL_MASK, ObservationSet
-from .spectrum import Spectrum, as_field
+from .spectrum import Spectrum
 
 DEFAULT_C_LAMBDA = math.log(65536.0)   # per-step tail decay e^{-c} = 2^-16 <= 1/4
 DEFAULT_GRAM_FLOOR = 1e-10
@@ -70,7 +70,7 @@ def _solve_step(spectrum: Spectrum, obs: ObservationSet, band: np.ndarray,
     lam_cut = float(spectrum.frequencies[band].max())
     if obs.kind == CELL_MASK:
         V = spectrum.vectors[:, band]
-        G = (V.T * obs.node_weights) @ V
+        G = obs.gram(V)
         evals, evecs = np.linalg.eigh(G)
         gmin = float(evals[0])
         keep = evals > max(evals[-1], 1e-300) * 1e-13
@@ -93,7 +93,7 @@ def _solve_step(spectrum: Spectrum, obs: ObservationSet, band: np.ndarray,
         tv = float(np.sum(np.abs(payload) * obs.node_volumes))
         kind = "density"
     else:
-        P = spectrum.vectors[obs.domain.node_to_unknown[obs.points], :]
+        P = obs.rows(spectrum.vectors)
         A = P[:, band].T                        # (band, n_points)
         U, sv, Vt = np.linalg.svd(A, full_matrices=False)
         gmin = float(sv[-1] ** 2)
@@ -135,7 +135,7 @@ def step_control(spectrum: Spectrum, obs: ObservationSet, lam_max: float,
     band = spectrum.band(lam_max)
     if band.size == 0:
         raise ValueError(f"no modes below cutoff {lam_max}")
-    coeffs = spectrum.coefficients(as_field(deficit))
+    coeffs = spectrum.coefficients(deficit)
     high = np.delete(coeffs, band)
     if high.size and np.abs(high).max() > 1e-8 * max(np.abs(coeffs).max(), 1e-300):
         raise ValueError("deficit must be supported on the band below the cutoff")
@@ -155,10 +155,9 @@ def observable_cutoff(spectrum: Spectrum, obs: ObservationSet,
     n_scan = max(n_scan, 1)
     if obs.kind == CELL_MASK:
         V = spectrum.vectors
-        wE = obs.node_weights
-        solvable = lambda k: np.linalg.eigvalsh((V[:, :k].T * wE) @ V[:, :k])[0] >= gram_floor
+        solvable = lambda k: np.linalg.eigvalsh(obs.gram(V[:, :k]))[0] >= gram_floor
     else:
-        P = spectrum.vectors[obs.domain.node_to_unknown[obs.points], :]
+        P = obs.rows(spectrum.vectors)
 
         def solvable(k):
             sv = np.linalg.svd(P[:, :k].T, compute_uv=False)
@@ -232,8 +231,8 @@ def synthesize(spectrum: Spectrum, obs: ObservationSet, schedule: TimeSequence,
         lambda_rule = default_lambda_rule(spectrum, obs, c_lambda, lam_max=lam_need)
 
     lam2 = spectrum.eigenvalues
-    u0c = spectrum.coefficients(as_field(u0)).copy()
-    v0c = np.zeros_like(u0c) if v0 is None else spectrum.coefficients(as_field(v0)).copy()
+    u0c = spectrum.coefficients(u0)
+    v0c = np.zeros_like(u0c) if v0 is None else spectrum.coefficients(v0)
     d = u0c - v0c
     d0 = float(np.linalg.norm(d))
     steps, history = [], []
@@ -272,8 +271,8 @@ def simulate(spectrum: Spectrum, u0, schedule: ControlSchedule, v0=None) -> Simu
     """Replay the piecewise heat flow with the schedule's modal jumps."""
     T = schedule.horizon
     lam2 = spectrum.eigenvalues
-    u = spectrum.coefficients(as_field(u0)).copy()
-    v0c = schedule.v0_coeffs if v0 is None else spectrum.coefficients(as_field(v0))
+    u = spectrum.coefficients(u0)
+    v0c = schedule.v0_coeffs if v0 is None else spectrum.coefficients(v0)
     times, phases, snaps = [0.0], ["start"], [u.copy()]
     t_prev = 0.0
     for sc in schedule.steps:
@@ -340,8 +339,8 @@ def distributed_control(spectrum: Spectrum, mask: np.ndarray, T: float, u0, v0=N
     bounds = np.concatenate([schedule.times, [T]])
     lam2 = spectrum.eigenvalues
 
-    u0c = spectrum.coefficients(as_field(u0)).copy()
-    v0c = np.zeros_like(u0c) if v0 is None else spectrum.coefficients(as_field(v0)).copy()
+    u0c = spectrum.coefficients(u0)
+    v0c = np.zeros_like(u0c) if v0 is None else spectrum.coefficients(v0)
     d = u0c - v0c
     d0 = float(np.linalg.norm(d))
 

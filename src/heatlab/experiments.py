@@ -45,6 +45,8 @@ from .inequality import (
     interpolation_check,
 )
 from .obsets import (
+    CELL_MASK,
+    POINT_CLOUD,
     box_mask,
     cantor_set,
     full_domain_set,
@@ -194,23 +196,70 @@ def validate_config(cfg: dict):
     cfg.setdefault("seed", 0)
 
 
+def _norms(cfg, obs):
+    """The norms a constant sweep computes, checked against the set kind."""
+    norms = cfg.get("norms", ["l2"] if obs.kind == CELL_MASK else ["sup"])
+    for nm in norms:
+        if nm in ("l2", "l1") and obs.kind != CELL_MASK:
+            raise ConfigError("norms", f"{nm} constants need a cell-mask set")
+        if nm == "sup" and obs.kind != POINT_CLOUD:
+            raise ConfigError("norms", "sup constants need a point-cloud set")
+    return norms
+
+
+def _setup(cfg, lam_max=None, count=None):
+    """The stage every family starts with. Builds the domain, the coefficients
+    and the observation set of the families that observe one, checks every
+    field that does not need the spectrum, and only then assembles and solves
+    for the modes with lambda <= lam_max, or the first `count` (all when both
+    are None).
+
+    Returns (spectrum, observation set or None, doubled), where `doubled` is
+    the double-check's reflected double with its complete spectrum, else None.
+    """
+    exp = cfg["experiment"]
+    domain = build_domain(cfg["domain"])
+    if exp == "double-check" and domain.dimension != 1:
+        raise ConfigError("domain", "the doubling experiment runs on intervals")
+    coeffs = build_coefficients(domain, cfg["coefficients"], cfg["seed"])
+    obs = None
+    if exp in ("constant-sweep", "interp-check", "control"):
+        obs = build_set(domain, _need(cfg, "set", dict), cfg["seed"], coeffs.kappa)
+    if exp == "constant-sweep":
+        _norms(cfg, obs)
+    elif exp == "interp-check":
+        _need(cfg, "t")
+    elif exp == "control":
+        sched_spec = _need(cfg, "schedule", dict)
+        _need(sched_spec, "T")
+        _need(sched_spec, "rho")
+        _need(sched_spec, "steps", int)
+        mode = cfg.get("mode", "impulsive")
+        if mode not in ("impulsive", "distributed"):
+            raise ConfigError("mode", f"unknown control mode {mode!r}")
+        if mode == "distributed" and obs.kind != CELL_MASK:
+            raise ConfigError("set", "distributed control needs a cell-mask set")
+    spec = compute_spectrum(assemble(domain, coeffs), lam_max=lam_max, count=count)
+    if exp != "double-check":
+        return spec, obs, None
+    db = double_domain(domain, coeffs)
+    return spec, obs, (db, compute_spectrum(db.operator))
+
+
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
 
 def run_spectrum(cfg, out: Path, log, threads):
-    domain = build_domain(cfg["domain"])
-    coeffs = build_coefficients(domain, cfg["coefficients"], cfg["seed"])
-    op = assemble(domain, coeffs)
-    spec = compute_spectrum(op, lam_max=cfg.get("lambda_max"),
-                            count=cfg.get("count"))
+    spec, _, _ = _setup(cfg, lam_max=cfg.get("lambda_max"), count=cfg.get("count"))
+    op = spec.operator
     log(f"computed {spec.n_modes} eigenpairs on {op.n} unknowns")
     sup = spec.sup_norms()
     write_csv(out / "spectrum.csv", ["k", "lambda", "sup_norm"],
               [(k + 1, spec.frequencies[k], sup[k]) for k in range(spec.n_modes)])
     rep = spec.validation
     summary = {"n_modes": spec.n_modes, "n_unknowns": op.n, "invariants": rep}
-    d = domain.dimension
+    d = op.domain.dimension
     try:
         summary["weyl_exponent"] = weyl_exponent(spec)
         summary["sup_norm_exponent"] = eigen_sup_exponent(spec)
@@ -224,22 +273,13 @@ def run_spectrum(cfg, out: Path, log, threads):
         "eigen_residual": rep["eigen_residual"] <= 1e-8,
         "ascending": rep["ascending"],
     }
-    return {"spectrum.csv": None}, summary, checks
+    return summary, checks
 
 
 def run_constant_sweep(cfg, out: Path, log, threads):
-    domain = build_domain(cfg["domain"])
-    coeffs = build_coefficients(domain, cfg["coefficients"], cfg["seed"])
     grid = _lambda_grid(_need(cfg, "lambda_grid", (dict, list)))
-    op = assemble(domain, coeffs)
-    spec = compute_spectrum(op, lam_max=grid[-1])
-    obs = build_set(domain, _need(cfg, "set", dict), cfg["seed"], coeffs.kappa)
-    norms = cfg.get("norms", ["l2"] if obs.kind == "cell_mask" else ["sup"])
-    for nm in norms:
-        if nm in ("l2", "l1") and obs.kind != "cell_mask":
-            raise ConfigError("norms", f"{nm} constants need a cell-mask set")
-        if nm == "sup" and obs.kind != "point_cloud":
-            raise ConfigError("norms", "sup constants need a point-cloud set")
+    spec, obs, _ = _setup(cfg, lam_max=grid[-1])
+    norms = _norms(cfg, obs)
 
     def one(nm, lam):
         if nm == "l2":
@@ -274,17 +314,13 @@ def run_constant_sweep(cfg, out: Path, log, threads):
                 checks["l2_at_least_one"] = all(c >= 1 - 1e-9 for c in finite)
             checks[f"{nm}_rate_nonnegative"] = fit.degenerate or fit.rate >= -1e-6
     write_csv(out / "sweep.csv", ["norm", "lambda", "constant"], rows)
-    return {"sweep.csv": None}, summary, checks
+    return summary, checks
 
 
 def run_interp_check(cfg, out: Path, log, threads):
-    domain = build_domain(cfg["domain"])
-    coeffs = build_coefficients(domain, cfg["coefficients"], cfg["seed"])
-    op = assemble(domain, coeffs)
-    spec = compute_spectrum(op)
-    obs = build_set(domain, _need(cfg, "set", dict), cfg["seed"], coeffs.kappa)
+    spec, obs, _ = _setup(cfg)
     s = float(cfg.get("s", 0.0))
-    t = float(_need(cfg, "t"))
+    t = float(cfg["t"])
     eps = float(cfg.get("epsilon", 0.5))
     batch = int(cfg.get("batch", 50))
     rng = np.random.default_rng(cfg["seed"])
@@ -314,7 +350,7 @@ def run_interp_check(cfg, out: Path, log, threads):
     }
     if abs(eps - 0.5) < 1e-12:
         checks["minimizer_identity"] = summary["max_identity_dev"] <= 0.01
-    return {"instances.csv": None}, summary, checks
+    return summary, checks
 
 
 def _export_schedule(sched, path: Path):
@@ -339,15 +375,11 @@ def _export_schedule(sched, path: Path):
 
 
 def run_control(cfg, out: Path, log, threads):
-    domain = build_domain(cfg["domain"])
-    coeffs = build_coefficients(domain, cfg["coefficients"], cfg["seed"])
-    op = assemble(domain, coeffs)
-    spec = compute_spectrum(op, count=cfg.get("modes"))
-    obs_spec = _need(cfg, "set", dict)
-    sched_spec = _need(cfg, "schedule", dict)
-    T = float(_need(sched_spec, "T"))
-    rho = float(_need(sched_spec, "rho"))
-    steps = int(_need(sched_spec, "steps", int))
+    spec, obs, _ = _setup(cfg, count=cfg.get("modes"))
+    sched_spec = cfg["schedule"]
+    T = float(sched_spec["T"])
+    rho = float(sched_spec["rho"])
+    steps = int(sched_spec["steps"])
     rng = np.random.default_rng(cfg["seed"])
     u0 = build_field(spec, cfg.get("u0", {"kind": "random"}), rng)
     v0_spec = cfg.get("v0", {"kind": "zero"})
@@ -359,7 +391,6 @@ def run_control(cfg, out: Path, log, threads):
                "cost_rate": D, "mode": mode}
 
     if mode == "impulsive":
-        obs = build_set(domain, obs_spec, cfg["seed"], coeffs.kappa)
         seq = lr_schedule(T, rho, steps)
         kwargs = {}
         if "c_lambda" in cfg:
@@ -397,12 +428,9 @@ def run_control(cfg, out: Path, log, threads):
                                - sched.v0_coeffs * np.exp(-spec.eigenvalues * T))
                 - sched.terminal_deficit) <= 1e-12 * max(1.0, sched.terminal_deficit))
         checks["moment_residuals"] = all(s.moment_residual <= 1e-6 for s in sched.steps)
-    elif mode == "distributed":
+    else:
         slabs = int(cfg.get("time_slabs", 32))
-        obs = build_set(domain, obs_spec, cfg["seed"], coeffs.kappa)
-        if obs.kind != "cell_mask":
-            raise ConfigError("set", "distributed control needs a cell-mask set")
-        mask = np.zeros(domain.n_cells_total, dtype=bool)
+        mask = np.zeros(obs.domain.n_cells_total, dtype=bool)
         mask[obs.cells] = True
         st_mask = np.tile(mask, (slabs, 1))
         kwargs = {}
@@ -422,21 +450,13 @@ def run_control(cfg, out: Path, log, threads):
         log(f"distributed control over {len(res.windows)} windows, "
             f"terminal relative deficit {res.terminal_relative:.3e}")
         checks["finite_control"] = math.isfinite(res.sup_norm)
-    else:
-        raise ConfigError("mode", f"unknown control mode {mode!r}")
-    return {}, summary, checks
+    return summary, checks
 
 
 def run_double_check(cfg, out: Path, log, threads):
-    domain = build_domain(cfg["domain"])
-    if domain.dimension != 1:
-        raise ConfigError("domain", "the doubling experiment runs on intervals")
-    coeffs = build_coefficients(domain, cfg["coefficients"], cfg["seed"])
-    op = assemble(domain, coeffs)
     n_modes = int(cfg.get("modes", 10))
-    spec = compute_spectrum(op, count=n_modes)
-    db = double_domain(domain, coeffs)
-    spec2 = compute_spectrum(db.operator)
+    spec, _, (db, spec2) = _setup(cfg, count=n_modes)
+    domain = spec.operator.domain
     rows = []
     worst_res, worst_dist = 0.0, 0.0
     for k in range(n_modes):
@@ -493,7 +513,7 @@ def run_double_check(cfg, out: Path, log, threads):
         checks["chart_kernel_mass"] = (abs(diag.kernel_mass_range[0] - 1) <= 1e-3
                                        and abs(diag.kernel_mass_range[1] - 1) <= 1e-3)
         checks["chart_b_tangent_spd"] = diag.b_tangent_min > 0
-    return {}, summary, checks
+    return summary, checks
 
 
 RUNNERS = {
@@ -524,7 +544,7 @@ def run(cfg: dict, out_dir=None, threads=None, verbose=False):
             print(msg)
 
     log(f"experiment {exp} (seed {cfg['seed']}, threads {threads})")
-    _, summary, checks = RUNNERS[exp](cfg, out, log, threads)
+    summary, checks = RUNNERS[exp](cfg, out, log, threads)
     checks = {k: bool(v) for k, v in checks.items()}
     summary = {
         "experiment": exp,

@@ -18,8 +18,8 @@ import numpy as np
 import scipy.optimize
 
 from .errors import InsufficientDataError, NumericalFailureError, SearchFailureError
-from .obsets import CELL_MASK, POINT_CLOUD, ObservationSet
-from .spectrum import Spectrum, as_field
+from .obsets import CELL_MASK, ObservationSet
+from .spectrum import Spectrum
 
 GRAM_SINGULAR = 1e-14   # below this the restricted Gram is reported unobservable
 LP_FEASIBILITY_TOL = 1e-7   # HiGHS primal/dual feasibility tolerance: slack on pruned bounds
@@ -83,10 +83,7 @@ def restricted_l1(obs: ObservationSet, values: np.ndarray) -> float:
 
 
 def restricted_sup(obs: ObservationSet, values: np.ndarray) -> float:
-    if obs.kind != POINT_CLOUD:
-        raise ValueError("sup restriction needs a point cloud")
-    idx = obs.domain.node_to_unknown[obs.points]
-    return float(np.abs(values[idx]).max())
+    return float(np.abs(obs.rows(values)).max())
 
 
 def observation_norm(obs: ObservationSet, values: np.ndarray) -> float:
@@ -107,30 +104,15 @@ def _band(spectrum: Spectrum, lam_max: float) -> np.ndarray:
     return band
 
 
-def restricted_gram(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> np.ndarray:
-    """Gram matrix G_jk = <e_j 1_E, e_k 1_E>_w over the band lambda <= lam_max."""
-    if obs.kind != CELL_MASK:
-        raise ValueError("the Gram constant needs a cell mask")
-    band = _band(spectrum, lam_max)
-    V = spectrum.vectors[:, band]
-    return (V.T * obs.node_weights) @ V
-
-
 def constant_l2(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> float:
     """Sharp discrete constant in ||phi||_2 <= C ||phi 1_E||_2 over the band,
-    equal to lam_min(G)^{-1/2}. Returns inf when G is numerically singular."""
-    G = restricted_gram(spectrum, obs, lam_max)
+    equal to lam_min(G)^{-1/2} for the restricted Gram G of the band. Returns
+    inf when G is numerically singular."""
+    G = obs.gram(spectrum.vectors[:, _band(spectrum, lam_max)])
     lam_min = float(np.linalg.eigvalsh(G)[0])
     if lam_min < GRAM_SINGULAR:
         return float("inf")
     return lam_min ** -0.5
-
-
-def gram_floor_certificate(spectrum: Spectrum, obs: ObservationSet, lam_max: float):
-    """Minimizing band coefficients of the L2 restriction, for seeding and tests."""
-    G = restricted_gram(spectrum, obs, lam_max)
-    evals, evecs = np.linalg.eigh(G)
-    return float(evals[0]), evecs[:, 0]
 
 
 @dataclass(frozen=True)
@@ -153,12 +135,11 @@ def constant_l1(spectrum: Spectrum, obs: ObservationSet, lam_max: float,
     bound of the true constant; it always dominates the Cauchy-Schwarz floor
     because the Gram minimizer is among the starts.
     """
-    if obs.kind != CELL_MASK:
-        raise ValueError("the L1 constant needs a cell mask")
     band = _band(spectrum, lam_max)
     V = spectrum.vectors[:, band]
     wE = obs.node_weights
-    lam_min, u_floor = gram_floor_certificate(spectrum, obs, lam_max)
+    evals, evecs = np.linalg.eigh(obs.gram(V))
+    lam_min, u_floor = float(evals[0]), evecs[:, 0]
     floor = float("inf") if lam_min < GRAM_SINGULAR else \
         lam_min ** -0.5 / math.sqrt(obs.weighted_measure)
 
@@ -220,11 +201,9 @@ def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> Sup
     whole cloud. `lp_solved` and `lp_pruned` count the nodes solved and
     skipped.
     """
-    if obs.kind != POINT_CLOUD:
-        raise ValueError("the sup constant needs a point cloud")
     band = _band(spectrum, lam_max)
     V = spectrum.vectors[:, band]
-    P = V[obs.domain.node_to_unknown[obs.points], :]
+    P = obs.rows(V)
     m, k = P.shape
     # sigma_min less the SVD's backward error: a numerically singular P counts as singular
     sigma = np.linalg.svd(P, compute_uv=False)
@@ -317,9 +296,8 @@ def interpolation_check(spectrum: Spectrum, obs: ObservationSet, f,
         raise ValueError(f"need 0 <= s < t, got s={s}, t={t}")
     if not (0 < epsilon < 1):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    fld = as_field(f)
     tau = t - s
-    coeffs = spectrum.coefficients(fld)
+    coeffs = spectrum.coefficients(f)
     lam2 = spectrum.eigenvalues
     at_t = coeffs * np.exp(-lam2 * t)
     at_s = coeffs * np.exp(-lam2 * s)
@@ -423,8 +401,7 @@ def telescope_check(spectrum: Spectrum, obs: ObservationSet, seq: TimeSequence,
     if seq.tag != "lr_geometric":
         raise ValueError("telescoping needs an lr_geometric sequence")
     validate_lr_ratio(seq)
-    fld = as_field(f)
-    coeffs = spectrum.coefficients(fld)
+    coeffs = spectrum.coefficients(f)
     lam2 = spectrum.eigenvalues
     s_times = seq.dual_times()
     gaps = -np.diff(s_times)

@@ -75,10 +75,19 @@ class ObservationSet:
             return np.stack([lo, lo + np.array(self.domain.h)], axis=-1)
         return None
 
-    def cloud_coords(self) -> np.ndarray | None:
-        if self.point_coords is not None:
-            return self.point_coords
-        return None
+    def rows(self, V: np.ndarray) -> np.ndarray:
+        """Rows of V (indexed by unknowns) at the cloud's nodes: V restricted
+        to a point cloud."""
+        if self.kind != POINT_CLOUD:
+            raise ValueError("restriction to nodes needs a point cloud")
+        return V[self.domain.node_to_unknown[self.points]]
+
+    def gram(self, V: np.ndarray) -> np.ndarray:
+        """Restricted Gram G_jk = <V_j 1_E, V_k 1_E>_w of the columns of V over
+        a cell mask."""
+        if self.kind != CELL_MASK:
+            raise ValueError("the restricted Gram needs a cell mask")
+        return (V.T * self.node_weights) @ V
 
 
 def _node_weights_for_cells(domain: Domain, kappa: np.ndarray | None, cells: np.ndarray):
@@ -248,11 +257,6 @@ def point_cloud(domain: Domain, coords, exponent=None, content=None) -> Observat
                           boundary_margin=margin)
 
 
-def lebesgue_measure(obs: ObservationSet) -> float:
-    """Exact for cell masks; zero for point clouds."""
-    return obs.measure if obs.kind == CELL_MASK else 0.0
-
-
 def set_to_json(obs: ObservationSet) -> dict:
     """JSON-ready description: kind, member cells or snapped points, and the
     construction metadata."""
@@ -392,5 +396,5 @@ def hausdorff_content(obs: ObservationSet, s: float, depth: int | None = None) -
             return ((b - a) * (1.0 - 2.0 * r)) ** s_c * (t1 - t0) / 2.0 ** (1.0 + s_c)
 
     boxes = obs.boxes()
-    points = obs.cloud_coords() if boxes is None else None
+    points = obs.point_coords if boxes is None else None
     return content_bound_geometry(boxes, points, s, d, depth)

@@ -111,15 +111,3 @@ def _accumulate(K, ia, ib, c):
     np.add.at(K, (ia[m], ib[m]), -c[m])
     np.add.at(K, (ib[m], ia[m]), -c[m])
 
-
-def apply(op: DiscreteOperator, field: np.ndarray) -> np.ndarray:
-    """K applied to a nodal vector over the unknowns."""
-    field = np.asarray(field, dtype=float)
-    if field.shape != (op.n,):
-        raise ValueError(f"field has shape {field.shape}, operator expects {(op.n,)}")
-    return op.K @ field
-
-
-def operator_apply(op: DiscreteOperator, field: np.ndarray) -> np.ndarray:
-    """w^{-1} K u: the operator normalization approximating -Laplacian u."""
-    return apply(op, field) / op.w

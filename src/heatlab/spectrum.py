@@ -22,23 +22,6 @@ from .errors import InsufficientDataError, NumericalFailureError
 from .operators import DiscreteOperator
 
 
-@dataclass(eq=False)
-class Field:
-    """Nodal values over the unknowns with a lazily cached coefficient vector."""
-
-    values: np.ndarray
-    coeffs: np.ndarray | None = None
-
-    def copy(self) -> "Field":
-        return Field(self.values.copy(), None if self.coeffs is None else self.coeffs.copy())
-
-
-def as_field(f) -> Field:
-    if isinstance(f, Field):
-        return f
-    return Field(np.asarray(f, dtype=float))
-
-
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Ascending eigenfrequencies and w-orthonormal eigenvectors."""
@@ -68,11 +51,8 @@ class Spectrum:
         return float(np.sqrt(np.sum(self.weights * np.asarray(u) ** 2)))
 
     def coefficients(self, f) -> np.ndarray:
-        """Modal coefficients u_k = <f, e_k>_w; cached on Field inputs."""
-        fld = as_field(f)
-        if fld.coeffs is None or fld.coeffs.shape != (self.n_modes,):
-            fld.coeffs = self.vectors.T @ (self.weights * fld.values)
-        return fld.coeffs
+        """Modal coefficients u_k = <f, e_k>_w of nodal values f."""
+        return self.vectors.T @ (self.weights * np.asarray(f, dtype=float))
 
     def synthesize_values(self, coeffs: np.ndarray) -> np.ndarray:
         return self.vectors @ np.asarray(coeffs, dtype=float)
@@ -235,21 +215,22 @@ def compute_spectrum(op: DiscreteOperator, lam_max: float | None = None,
     return replace(spec, validation=rep)
 
 
-def project_low(spectrum: Spectrum, f, lam_max: float) -> Field:
-    """Orthogonal projection onto the span of modes with lambda_k <= lam_max."""
+def project_low(spectrum: Spectrum, f, lam_max: float) -> np.ndarray:
+    """Nodal values of the orthogonal projection onto the span of modes with
+    lambda_k <= lam_max."""
     if lam_max < 0:
         raise ValueError("lam_max must be nonnegative")
-    u = spectrum.coefficients(f).copy()
+    u = spectrum.coefficients(f)
     u[spectrum.frequencies > lam_max] = 0.0
-    return Field(spectrum.synthesize_values(u), u)
+    return spectrum.synthesize_values(u)
 
 
-def heat_propagate(spectrum: Spectrum, f, t: float) -> Field:
-    """e^{t Delta} f on the computed span (exact when the spectrum is complete)."""
+def heat_propagate(spectrum: Spectrum, f, t: float) -> np.ndarray:
+    """Nodal values of e^{t Delta} f on the computed span (exact when the
+    spectrum is complete)."""
     if t < 0:
         raise ValueError("heat flow requires t >= 0")
-    u = spectrum.coefficients(f) * np.exp(-spectrum.eigenvalues * t)
-    return Field(spectrum.synthesize_values(u), u)
+    return spectrum.synthesize_values(spectrum.coefficients(f) * np.exp(-spectrum.eigenvalues * t))
 
 
 def elliptic_lift(spectrum: Spectrum, coeffs: np.ndarray, lam_max: float,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import heatlab.experiments
 import heatlab.spectrum
 from heatlab.cli import main
 from heatlab.errors import ConfigError
@@ -98,6 +99,32 @@ def test_norm_set_mismatch_rejected(tmp_path):
            "norms": ["sup"]}
     with pytest.raises(ConfigError):
         run(cfg, out_dir=tmp_path / "bad")
+
+
+SWEEP = {"experiment": "constant-sweep", "domain": INTERVAL, "coefficients": CONST,
+         "seed": 0, "set": {"kind": "full"},
+         "lambda_grid": {"min": 1.5, "max": 6.5, "count": 6}}
+CONTROL = {"experiment": "control", "domain": INTERVAL, "coefficients": CONST,
+           "seed": 0, "modes": 8, "set": {"kind": "full"},
+           "schedule": {"T": 1.0, "rho": 0.5, "steps": 3}}
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (dict(SWEEP, set={"kind": "blob"}), "set.kind"),
+    (dict(SWEEP, norms=["sup"]), "norms"),
+    (dict(CONTROL, mode="pulsed"), "mode"),
+    ({"experiment": "double-check", "seed": 0, "coefficients": CONST,
+      "domain": {"kind": "rectangle", "lx": 1.0, "ly": 1.0, "nx": 4, "ny": 4,
+                 "bc": "dirichlet"}}, "domain"),
+], ids=["unknown-set-kind", "sup-on-mask", "unknown-control-mode", "double-on-rectangle"])
+def test_config_errors_raise_before_the_eigensolve(tmp_path, monkeypatch, cfg, field):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve reached on an invalid config")
+    monkeypatch.setattr(heatlab.spectrum, "compute_spectrum", no_eigensolve)
+    monkeypatch.setattr(heatlab.experiments, "compute_spectrum", no_eigensolve)
+    with pytest.raises(ConfigError) as err:
+        run(dict(cfg), out_dir=tmp_path / "bad")
+    assert err.value.field == field
 
 
 def test_cli_exit_codes(tmp_path):

@@ -158,7 +158,7 @@ def test_simulate_zero_schedule_is_heat_flow(setup):
     sched = synthesize(spec, obs, seq, u0, u0)  # no-op schedule
     sim = simulate(spec, u0, sched)
     flow = heat_propagate(spec, u0, 1.0)
-    assert np.allclose(spec.synthesize_values(sim.terminal_coeffs), flow.values, atol=1e-12)
+    assert np.allclose(spec.synthesize_values(sim.terminal_coeffs), flow, atol=1e-12)
 
 
 def test_simulate_replays_synthesis(setup):
@@ -179,7 +179,7 @@ def test_simulate_single_impulse_kills_single_mode(setup):
     u0 = 2.0 * spec.vectors[:, 0]
     t_imp = 0.4
     sc = step_control(spec, obs, spec.frequencies[0] + 0.1,
-                      heat_propagate(spec, u0, t_imp).values, time=t_imp)
+                      heat_propagate(spec, u0, t_imp), time=t_imp)
     from heatlab.control import ControlSchedule
     sched = ControlSchedule([sc], 1.0, obs, spec.coefficients(u0),
                             np.zeros(spec.n_modes), 0.0, 0.0, np.zeros(1))

@@ -13,7 +13,6 @@ from heatlab import (
     full_domain_set,
     hausdorff_content,
     interval_mask,
-    lebesgue_measure,
     point_cloud,
     random_set,
     set_from_mask,
@@ -23,13 +22,13 @@ from heatlab.errors import EmptySetError
 
 def test_full_mask_measure():
     dom = build_interval(np.pi, 50, DIRICHLET)
-    assert lebesgue_measure(full_domain_set(dom)) == pytest.approx(np.pi, rel=1e-12)
+    assert full_domain_set(dom).measure == pytest.approx(np.pi, rel=1e-12)
 
 
 def test_half_mask_measure():
     dom = build_interval(1.0, 100, DIRICHLET)
     obs = set_from_mask(dom, interval_mask(dom, 0.0, 0.5))
-    assert lebesgue_measure(obs) == pytest.approx(0.5, rel=1e-12)
+    assert obs.measure == pytest.approx(0.5, rel=1e-12)
 
 
 def test_empty_mask_rejected():
@@ -51,7 +50,7 @@ def test_cantor_counts_and_exponent():
     assert iv.shape[0] == 32
     assert np.sum(iv[:, 1] - iv[:, 0]) == pytest.approx((2 / 3) ** 5, rel=1e-12)
     assert obs.exponent == pytest.approx(np.log(2) / np.log(3), rel=1e-12)
-    assert lebesgue_measure(obs) == 0.0
+    assert obs.measure == 0.0
 
 
 def test_cantor_ratio_inversion():
@@ -69,7 +68,7 @@ def test_cantor_invalid_ratio():
 def test_random_set_measure_and_determinism():
     dom = build_interval(1.0, 1000, DIRICHLET)
     obs = random_set(dom, 0.3, seed=42)
-    assert abs(lebesgue_measure(obs) - 0.3) <= 0.001 + 1e-12
+    assert abs(obs.measure - 0.3) <= 0.001 + 1e-12
     obs2 = random_set(dom, 0.3, seed=42)
     assert np.array_equal(obs.cells, obs2.cells)
     with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ import scipy.sparse.linalg
 from heatlab import (
     DIRICHLET,
     NEUMANN,
-    Field,
     assemble,
     build_interval,
     build_rectangle,
@@ -165,20 +164,20 @@ def test_projector_identity_zero_idempotent():
     rng = np.random.default_rng(0)
     f = rng.standard_normal(spec.vectors.shape[0])
     full = project_low(spec, f, spec.frequencies[-1] + 1)
-    assert np.allclose(full.values, f, atol=1e-10)
+    assert np.allclose(full, f, atol=1e-10)
     zero = project_low(spec, f, 0.5 * spec.frequencies[0])
-    assert np.abs(zero.values).max() <= 1e-12
+    assert np.abs(zero).max() <= 1e-12
     once = project_low(spec, f, 10.0)
     twice = project_low(spec, once, 10.0)
-    assert np.abs(once.values - twice.values).max() <= 1e-10
+    assert np.abs(once - twice).max() <= 1e-10
 
 
 def test_projector_self_adjoint():
     dom, op, spec = interval_spectrum(30)
     rng = np.random.default_rng(3)
     f, g = rng.standard_normal((2, spec.vectors.shape[0]))
-    pf = project_low(spec, f, 12.0).values
-    pg = project_low(spec, g, 12.0).values
+    pf = project_low(spec, f, 12.0)
+    pg = project_low(spec, g, 12.0)
     assert spec.inner(pf, g) == pytest.approx(spec.inner(f, pg), rel=1e-10)
 
 
@@ -188,17 +187,17 @@ def test_heat_semigroup_law_and_contraction():
     f = rng.standard_normal(spec.vectors.shape[0])
     u1 = heat_propagate(spec, heat_propagate(spec, f, 0.1), 0.2)
     u2 = heat_propagate(spec, f, 0.3)
-    assert np.abs(u1.values - u2.values).max() <= 1e-12 * np.abs(u2.values).max()
-    assert np.allclose(heat_propagate(spec, f, 0.0).values, f, atol=1e-12)
+    assert np.abs(u1 - u2).max() <= 1e-12 * np.abs(u2).max()
+    assert np.allclose(heat_propagate(spec, f, 0.0), f, atol=1e-12)
     for t in (0.01, 0.5, 3.0):
-        assert spec.norm(heat_propagate(spec, f, t).values) <= spec.norm(f) * (1 + 1e-12)
+        assert spec.norm(heat_propagate(spec, f, t)) <= spec.norm(f) * (1 + 1e-12)
 
 
 def test_heat_single_mode_and_negative_time():
     dom, op, spec = interval_spectrum(24)
     e1 = spec.vectors[:, 0]
     out = heat_propagate(spec, e1, 0.7)
-    assert np.allclose(out.values, np.exp(-spec.eigenvalues[0] * 0.7) * e1, rtol=1e-12)
+    assert np.allclose(out, np.exp(-spec.eigenvalues[0] * 0.7) * e1, rtol=1e-12)
     with pytest.raises(ValueError):
         heat_propagate(spec, e1, -0.1)
 
@@ -207,8 +206,25 @@ def test_parseval_on_complete_basis():
     dom, op, spec = interval_spectrum(36)
     rng = np.random.default_rng(8)
     f = rng.standard_normal(spec.vectors.shape[0])
-    coeffs = spec.coefficients(Field(f))
+    coeffs = spec.coefficients(f)
     assert np.sum(coeffs**2) == pytest.approx(spec.norm(f) ** 2, rel=1e-8)
+
+
+def test_coefficients_follow_the_basis_and_the_values():
+    # Two 20-mode spectra on one grid; the coefficients of A's heat flow taken
+    # in B's basis must be B's, and must track later changes to the values.
+    dom = build_interval(np.pi, 60, DIRICHLET)
+    A = compute_spectrum(assemble(dom, constant_coefficients(dom)), count=20)
+    B = compute_spectrum(assemble(dom, random_lipschitz_coefficients(dom, 1.0, 1.0, seed=4)),
+                         count=20)
+    f = np.random.default_rng(2).standard_normal(dom.n_unknowns)
+    g = heat_propagate(A, f, 0.05)
+    oracle = B.vectors.T @ (B.weights * g)
+    assert np.allclose(B.coefficients(g), oracle, rtol=1e-12, atol=1e-14)
+    assert np.abs(A.coefficients(g) - oracle).max() > 0.1 * np.abs(oracle).max()
+    g[5] += 1.0
+    after = B.coefficients(g)
+    assert np.allclose(after - oracle, B.weights[5] * B.vectors[5], rtol=1e-10, atol=1e-14)
 
 
 def test_elliptic_lift_zero_mode_convention():
