@@ -59,7 +59,6 @@ from .control import (
     CostLedger,
     StepControl,
     cost_report,
-    default_lambda_rule,
     distributed_control,
     lr_schedule,
     observable_cutoff,

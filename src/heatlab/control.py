@@ -7,7 +7,7 @@ Controls steer the state onto the free trajectory of the target: the tracked
 quantity is the modal deficit d_k(t) between the state and e^{t Delta} v_0.
 An impulse with payload mu adds <mu, e_k> to every modal coefficient, so one
 step cancels the band lambda_k <= Lambda_j exactly while the remainder decays
-by at least e^{-Lambda_j^2 gap}. The default frequency rule grows like
+by at least e^{-Lambda_j^2 gap}. The frequency rule grows like
 sqrt(c_lambda / gap) but is capped at the numerically observable band of the
 support, where the moment systems stay solvable in double precision.
 """
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SynthesisFailureError
-from .inequality import TimeSequence
-from .obsets import CELL_MASK, ObservationSet
+from .inequality import TimeSequence, fubini_slices
+from .obsets import CELL_MASK, ObservationSet, set_from_mask
 from .spectrum import Spectrum
 
 DEFAULT_C_LAMBDA = math.log(65536.0)   # per-step tail decay e^{-c} = 2^-16 <= 1/4
@@ -143,25 +143,23 @@ def step_control(spectrum: Spectrum, obs: ObservationSet, lam_max: float,
 
 
 def observable_cutoff(spectrum: Spectrum, obs: ObservationSet,
-                      gram_floor: float = DEFAULT_GRAM_FLOOR,
-                      cond_floor: float = DEFAULT_COND_FLOOR,
                       lam_max: float | None = None) -> float:
     """Largest frequency cutoff whose moment system stays numerically solvable:
-    restricted-Gram minimum eigenvalue above `gram_floor` for masks, singular
-    value ratio above `cond_floor` for clouds. The scan stops early at the
-    first failing band and never looks past `lam_max`."""
+    restricted-Gram minimum eigenvalue above DEFAULT_GRAM_FLOOR for masks,
+    singular value ratio above DEFAULT_COND_FLOOR for clouds. The scan stops
+    early at the first failing band and never looks past `lam_max`."""
     freqs = spectrum.frequencies
     n_scan = spectrum.n_modes if lam_max is None else int(np.sum(freqs <= lam_max))
     n_scan = max(n_scan, 1)
     if obs.kind == CELL_MASK:
         V = spectrum.vectors
-        solvable = lambda k: np.linalg.eigvalsh(obs.gram(V[:, :k]))[0] >= gram_floor
+        solvable = lambda k: np.linalg.eigvalsh(obs.gram(V[:, :k]))[0] >= DEFAULT_GRAM_FLOOR
     else:
         P = obs.rows(spectrum.vectors)
 
         def solvable(k):
             sv = np.linalg.svd(P[:, :k].T, compute_uv=False)
-            return sv[-1] / sv[0] >= cond_floor
+            return sv[-1] / sv[0] >= DEFAULT_COND_FLOOR
 
     ok = 0
     for k in range(1, n_scan + 1):
@@ -175,20 +173,6 @@ def observable_cutoff(spectrum: Spectrum, obs: ObservationSet,
     if ok >= spectrum.n_modes:
         return float(freqs[-1])
     return float(0.5 * (freqs[ok - 1] + freqs[ok]))
-
-
-def default_lambda_rule(spectrum: Spectrum, obs: ObservationSet,
-                        c_lambda: float = DEFAULT_C_LAMBDA,
-                        gram_floor: float = DEFAULT_GRAM_FLOOR,
-                        cond_floor: float = DEFAULT_COND_FLOOR,
-                        lam_max: float | None = None):
-    """Frequency rule Lambda_j = min(sqrt(c_lambda / gap_j), observable cap)."""
-    cap = observable_cutoff(spectrum, obs, gram_floor, cond_floor, lam_max)
-
-    def rule(j, t_j, gap):
-        return min(math.sqrt(c_lambda / gap), cap)
-
-    return rule
 
 
 @dataclass(eq=False)
@@ -210,8 +194,7 @@ class ControlSchedule:
 
 
 def synthesize(spectrum: Spectrum, obs: ObservationSet, schedule: TimeSequence,
-               u0, v0=None, lambda_rule=None,
-               c_lambda: float = DEFAULT_C_LAMBDA) -> ControlSchedule:
+               u0, v0=None, c_lambda: float = DEFAULT_C_LAMBDA) -> ControlSchedule:
     """Iterative low-band steering along the given times.
 
     At each t_j the band lambda_k <= Lambda_j of the running deficit against
@@ -225,10 +208,8 @@ def synthesize(spectrum: Spectrum, obs: ObservationSet, schedule: TimeSequence,
     times = schedule.times
     if times[0] <= 0 or times[-1] >= T:
         raise ValueError("control times must lie strictly inside (0, T)")
-    if lambda_rule is None:
-        gaps = np.diff(np.concatenate([times, [T]]))
-        lam_need = math.sqrt(c_lambda / gaps.min())
-        lambda_rule = default_lambda_rule(spectrum, obs, c_lambda, lam_max=lam_need)
+    gaps = np.diff(np.concatenate([times, [T]]))
+    cap = observable_cutoff(spectrum, obs, lam_max=math.sqrt(c_lambda / gaps.min()))
 
     lam2 = spectrum.eigenvalues
     u0c = spectrum.coefficients(u0)
@@ -240,7 +221,7 @@ def synthesize(spectrum: Spectrum, obs: ObservationSet, schedule: TimeSequence,
     for j, tj in enumerate(times):
         d = d * np.exp(-lam2 * (tj - t_prev))
         gap = (times[j + 1] if j + 1 < times.size else T) - tj
-        lam_j = float(lambda_rule(j, tj, gap))
+        lam_j = min(math.sqrt(c_lambda / gap), cap)
         band = spectrum.band(lam_j)
         if band.size and float(np.abs(d[band]).max()) > 0:
             try:
@@ -321,15 +302,11 @@ class DistributedResult:
 
 def distributed_control(spectrum: Spectrum, mask: np.ndarray, T: float, u0, v0=None,
                         n_steps: int = 8, rho: float = 0.5,
-                        c_lambda: float = DEFAULT_C_LAMBDA,
-                        gram_floor: float = DEFAULT_GRAM_FLOOR) -> DistributedResult:
+                        c_lambda: float = DEFAULT_C_LAMBDA) -> DistributedResult:
     """Steering by piecewise-constant-in-time densities on the fat slices of a
     space-time mask: each geometric window smears the low-band kill over its
     admissible time slabs (support: cells present in every used slab).
     """
-    from .inequality import fubini_slices
-    from .obsets import set_from_mask
-
     domain = spectrum.operator.domain
     kappa = spectrum.operator.coefficients.kappa
     fub = fubini_slices(mask, domain, T)
@@ -366,7 +343,7 @@ def distributed_control(spectrum: Spectrum, mask: np.ndarray, T: float, u0, v0=N
                 raise SynthesisFailureError(
                     f"window ({ts:.4g}, {te:.4g}) has no common slice support")
             support = set_from_mask(domain, common, kappa)
-            cap = observable_cutoff(spectrum, support, gram_floor, lam_max=lam_j)
+            cap = observable_cutoff(spectrum, support, lam_max=lam_j)
             lam_j = min(lam_j, cap)
             band = spectrum.band(lam_j)
             # modal accumulation factors of a unit source over the slabs

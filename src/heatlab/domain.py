@@ -1,9 +1,11 @@
 """Uniform tensor-product grids on an interval or rectangle, plus Lipschitz
 coefficient fields (metric g, density kappa) sampled at the nodes.
 
-Node indexing is flat: 1-D nodes are numbered 0..n; 2-D nodes are numbered
-ix * (ny + 1) + iy (y fastest). Cells follow the same convention with
-cx * ny + cy. Unknowns are the interior nodes under Dirichlet conditions and
+Nodes and cells are numbered flat, row-major over their per-axis indices
+(last axis fastest). The numbering is private to `Domain`: other modules go
+through `node_index`, `node_multi_index`, `cell_multi_index` and `edges`;
+only sampled coefficient tables (`load_coefficients_csv`) name nodes by their
+flat number. Unknowns are the interior nodes under Dirichlet conditions and
 all nodes under Neumann conditions.
 """
 
@@ -47,8 +49,12 @@ class Domain:
         return int(self.unknown_nodes.size)
 
     @property
+    def _node_shape(self) -> tuple:
+        return tuple(n + 1 for n in self.n_cells)
+
+    @property
     def n_nodes_total(self) -> int:
-        return int(np.prod([n + 1 for n in self.n_cells]))
+        return int(np.prod(self._node_shape))
 
     @property
     def n_cells_total(self) -> int:
@@ -58,13 +64,17 @@ class Domain:
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
-    def node_multi_index(self, flat: np.ndarray):
+    def node_index(self, *idx):
+        """Per-axis node indices -> flat node index."""
+        return np.ravel_multi_index(idx, self._node_shape)
+
+    def node_multi_index(self, flat):
         """Flat node index -> per-axis indices."""
-        if self.dimension == 1:
-            return (np.asarray(flat),)
-        ny = self.n_cells[1]
-        flat = np.asarray(flat)
-        return flat // (ny + 1), flat % (ny + 1)
+        return np.unravel_index(flat, self._node_shape)
+
+    def cell_multi_index(self, flat):
+        """Flat cell index -> per-axis indices."""
+        return np.unravel_index(flat, self.n_cells)
 
     def node_coords(self, flat: np.ndarray) -> np.ndarray:
         """Coordinates of flat node indices, shape (m, d)."""
@@ -74,27 +84,32 @@ class Domain:
     def unknown_coords(self) -> np.ndarray:
         return self.node_coords(self.unknown_nodes)
 
+    def _dual_width(self, idx, axes) -> np.ndarray:
+        """Product over `axes` of the dual-cell width h (halved at grid ends)
+        at the nodes with per-axis indices `idx`."""
+        width = np.ones(np.shape(idx[0]))
+        for a in axes:
+            width *= self.h[a] * np.where((idx[a] == 0) | (idx[a] == self.n_cells[a]), 0.5, 1.0)
+        return width
+
     def dual_volumes(self) -> np.ndarray:
         """Dual-cell volume of each unknown node (half cells at grid ends)."""
-        idx = self.node_multi_index(self.unknown_nodes)
-        vol = np.ones(self.n_unknowns)
-        for a in range(self.dimension):
-            fac = np.where((idx[a] == 0) | (idx[a] == self.n_cells[a]), 0.5, 1.0)
-            vol *= self.h[a] * fac
-        return vol
+        return self._dual_width(self.node_multi_index(self.unknown_nodes), range(self.dimension))
 
-    def cell_multi_index(self, flat: np.ndarray):
-        if self.dimension == 1:
-            return (np.asarray(flat),)
-        ny = self.n_cells[1]
-        flat = np.asarray(flat)
-        return flat // ny, flat % ny
-
-    def cell_bounds(self, flat: int):
-        """Lower/upper corner coordinates of one cell."""
-        idx = self.cell_multi_index(np.asarray([flat]))
-        lo = np.array([self.axes[a][idx[a][0]] for a in range(self.dimension)])
-        return lo, lo + np.array(self.h)
+    def edges(self):
+        """Yield (axis, a, b, width) for each axis: the flat end nodes a, b of
+        every grid edge along that axis (b one step up from a, a ascending)
+        and the edge's transverse dual width: 1 in 1-D, else the product of
+        the other axes' h, halved on the rim as in `dual_volumes`."""
+        shape = self._node_shape
+        for axis in range(self.dimension):
+            lower = np.indices(shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:])
+            lower = lower.reshape(self.dimension, -1)
+            upper = lower.copy()
+            upper[axis] += 1
+            others = [t for t in range(self.dimension) if t != axis]
+            yield (axis, self.node_index(*lower), self.node_index(*upper),
+                   self._dual_width(lower, others))
 
     def boundary_distance(self, coords: np.ndarray) -> np.ndarray:
         """Distance of points to the domain boundary."""
@@ -119,24 +134,10 @@ def _build(lengths, n_cells, bc) -> Domain:
     axes = tuple(np.linspace(0.0, L, n + 1) for L, n in zip(lengths, n_cells))
     h = tuple(L / n for L, n in zip(lengths, n_cells))
 
-    if dim == 1:
-        n = n_cells[0]
-        all_nodes = np.arange(n + 1)
-        if bc == DIRICHLET:
-            unknowns = all_nodes[1:-1]
-        else:
-            unknowns = all_nodes
-    else:
-        nx, ny = n_cells
-        ix, iy = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
-        flat = (ix * (ny + 1) + iy).ravel()
-        if bc == DIRICHLET:
-            interior = ((ix > 0) & (ix < nx) & (iy > 0) & (iy < ny)).ravel()
-            unknowns = flat[interior]
-        else:
-            unknowns = flat
-    unknowns = np.sort(unknowns)
-    n_total = int(np.prod([n + 1 for n in n_cells]))
+    idx = np.indices(tuple(n + 1 for n in n_cells)).reshape(dim, -1)
+    interior = ((idx > 0) & (idx < np.array(n_cells)[:, None])).all(axis=0)
+    unknowns = np.flatnonzero(interior | (bc == NEUMANN))
+    n_total = idx.shape[1]
     inverse = np.full(n_total, -1, dtype=int)
     inverse[unknowns] = np.arange(unknowns.size)
     volume = float(np.prod(lengths))
@@ -167,41 +168,15 @@ class CoefficientField:
     measured_lip_g: float
     measured_lip_kappa: float
 
-    @property
-    def g_min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.g).min())
-
-    @property
-    def kappa_min(self) -> float:
-        return float(self.kappa.min())
-
     def is_diagonal(self, tol: float = 1e-12) -> bool:
-        if self.domain.dimension == 1:
-            return True
-        off = np.abs(self.g[:, 0, 1]).max()
-        return bool(off <= tol)
-
-
-def _axis_neighbor_pairs(domain: Domain):
-    """Pairs of flat node indices adjacent along each axis, with the spacing."""
-    if domain.dimension == 1:
-        n = domain.n_cells[0]
-        a = np.arange(n)
-        yield a, a + 1, domain.h[0]
-        return
-    nx, ny = domain.n_cells
-    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny + 1), indexing="ij")
-    left = (ix * (ny + 1) + iy).ravel()
-    yield left, left + (ny + 1), domain.h[0]
-    ix, iy = np.meshgrid(np.arange(nx + 1), np.arange(ny), indexing="ij")
-    lo = (ix * (ny + 1) + iy).ravel()
-    yield lo, lo + 1, domain.h[1]
+        return bool(np.abs(self.g[:, 0, 1:]).max(initial=0.0) <= tol)
 
 
 def _max_quotients(domain: Domain, g: np.ndarray, kappa: np.ndarray):
     qg = 0.0
     qk = 0.0
-    for a, b, h in _axis_neighbor_pairs(domain):
+    for axis, a, b, _ in domain.edges():
+        h = domain.h[axis]
         qg = max(qg, float(np.abs(g[b] - g[a]).max() / h))
         qk = max(qk, float(np.abs(kappa[b] - kappa[a]).max() / h))
     return qg, qk

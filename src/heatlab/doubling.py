@@ -278,18 +278,11 @@ class DoubledSystem:
 
     def interface_jump(self) -> float:
         """Max coefficient mismatch across the glue line (continuity check)."""
-        n = self.glue_axis_index
-        dom = self.domain
-        if dom.dimension == 1:
-            i, j = n - 1, n + 1
-            return float(max(abs(self.coefficients.kappa[i] - self.coefficients.kappa[j]),
-                             np.abs(self.coefficients.g[i] - self.coefficients.g[j]).max()))
-        ny = dom.n_cells[1]
-        left = (n - 1) * (ny + 1) + np.arange(ny + 1)
-        right = (n + 1) * (ny + 1) + np.arange(ny + 1)
-        dk = np.abs(self.coefficients.kappa[left] - self.coefficients.kappa[right]).max()
-        dg = np.abs(self.coefficients.g[left][:, [0, 1], [0, 1]]
-                    - self.coefficients.g[right][:, [0, 1], [0, 1]]).max()
+        dom, cf = self.domain, self.coefficients
+        ix = dom.node_multi_index(np.arange(dom.n_nodes_total))[0]
+        left, right = ix == self.glue_axis_index - 1, ix == self.glue_axis_index + 1
+        dk = np.abs(cf.kappa[left] - cf.kappa[right]).max()
+        dg = np.abs(np.diagonal(cf.g[left] - cf.g[right], axis1=1, axis2=2)).max()
         return float(max(dk, dg))
 
 
@@ -300,27 +293,23 @@ def double_domain(domain: Domain, coeffs: CoefficientField, side: str = "x0") ->
     if side != "x0":
         raise UnsupportedGeometryError(
             f"doubling is supported across the flat x = 0 side only, not {side!r}")
+    n = domain.n_cells[0]
     if domain.dimension == 1:
-        n = domain.n_cells[0]
         doubled = build_interval(2 * domain.lengths[0], 2 * n, domain.bc)
-        src = np.abs(np.arange(2 * n + 1) - n)
-        g2 = coeffs.g[src].copy()
-        kappa2 = coeffs.kappa[src].copy()
     else:
-        nx, ny = domain.n_cells
         doubled = build_rectangle(2 * domain.lengths[0], domain.lengths[1],
-                                  2 * nx, ny, domain.bc)
-        ix2, iy2 = np.meshgrid(np.arange(2 * nx + 1), np.arange(ny + 1), indexing="ij")
-        src = (np.abs(ix2 - nx) * (ny + 1) + iy2).ravel()
-        g2 = coeffs.g[src].copy()
-        kappa2 = coeffs.kappa[src].copy()
-        flip = (ix2 < nx).ravel()          # mirrored copy flips the off-diagonal sign
-        g2[flip, 0, 1] *= -1.0
-        g2[flip, 1, 0] *= -1.0
+                                  2 * n, domain.n_cells[1], domain.bc)
+    idx = list(doubled.node_multi_index(np.arange(doubled.n_nodes_total)))
+    flip = idx[0] < n                  # mirrored copy flips the off-diagonal sign
+    idx[0] = np.abs(idx[0] - n)
+    src = domain.node_index(*idx)
+    g2 = coeffs.g[src].copy()
+    kappa2 = coeffs.kappa[src].copy()
+    g2[flip, 0, 1:] *= -1.0
+    g2[flip, 1:, 0] *= -1.0
     coeffs2 = coefficients_from_tables(doubled, g2, kappa2)
     op2 = assemble(doubled, coeffs2)
-    return DoubledSystem(domain, coeffs, doubled, coeffs2, op2,
-                         domain.n_cells[0])
+    return DoubledSystem(domain, coeffs, doubled, coeffs2, op2, n)
 
 
 def extend_eigenfunction(doubled: DoubledSystem, eigvec: np.ndarray, lam_sq: float,
@@ -348,24 +337,13 @@ def extend_eigenfunction(doubled: DoubledSystem, eigvec: np.ndarray, lam_sq: flo
                          f"expected {(src_dom.n_unknowns,)}")
 
     dom2 = doubled.domain
-    n_glue = doubled.glue_axis_index
-    ext = np.zeros(dom2.n_unknowns)
-    if dom2.dimension == 1:
-        for u_idx, node in enumerate(dom2.unknown_nodes):
-            j = node - n_glue
-            src_node = abs(j)
-            s_idx = src_dom.node_to_unknown[src_node]
-            if s_idx < 0:
-                continue   # glued Dirichlet trace is zero
-            ext[u_idx] = eigvec[s_idx] * (parity if j < 0 else 1.0)
-    else:
-        ny = src_dom.n_cells[1]
-        ix2, iy2 = dom2.node_multi_index(dom2.unknown_nodes)
-        j = ix2 - n_glue
-        src_nodes = np.abs(j) * (ny + 1) + iy2
-        s_idx = src_dom.node_to_unknown[src_nodes]
-        vals = np.where(s_idx >= 0, eigvec[np.maximum(s_idx, 0)], 0.0)
-        ext = np.where(j < 0, parity, 1.0) * vals
+    idx = list(dom2.node_multi_index(dom2.unknown_nodes))
+    j = idx[0] - doubled.glue_axis_index
+    idx[0] = np.abs(j)
+    s_idx = src_dom.node_to_unknown[src_dom.node_index(*idx)]
+    # nodes mapped to -1 lie on the glued Dirichlet trace, which is zero
+    vals = np.where(s_idx >= 0, eigvec[np.maximum(s_idx, 0)], 0.0)
+    ext = np.where(j < 0, parity, 1.0) * vals
 
     op2 = doubled.operator
     r = op2.K @ ext - lam_sq * (op2.w * ext)

@@ -160,7 +160,8 @@ def build_set(domain, spec, seed, kappa):
     raise ConfigError("set.kind", f"unknown kind {kind!r}")
 
 
-def build_field(spectrum, spec, rng):
+def build_field(spectrum, name, spec, rng):
+    """The control field `name` ("u0" or "v0") described by `spec`."""
     kind = spec.get("kind", "random")
     if kind == "zero":
         return np.zeros(spectrum.vectors.shape[0])
@@ -169,9 +170,9 @@ def build_field(spectrum, spec, rng):
     if kind == "mode":
         k = int(spec.get("k", 1))
         if not (1 <= k <= spectrum.n_modes):
-            raise ConfigError("u0.k", f"mode index must lie in [1, {spectrum.n_modes}]")
+            raise ConfigError(f"{name}.k", f"mode index must lie in [1, {spectrum.n_modes}]")
         return float(spec.get("amplitude", 1.0)) * spectrum.vectors[:, k - 1]
-    raise ConfigError("u0.kind", f"unknown kind {kind!r}")
+    raise ConfigError(f"{name}.kind", f"unknown kind {kind!r}")
 
 
 def _lambda_grid(spec):
@@ -228,7 +229,11 @@ def _setup(cfg, lam_max=None, count=None):
     if exp == "constant-sweep":
         _norms(cfg, obs)
     elif exp == "interp-check":
-        _need(cfg, "t")
+        s, t = float(cfg.get("s", 0.0)), float(_need(cfg, "t"))
+        if not (0 <= s < t):
+            raise ConfigError("s", f"need 0 <= s < t, got s={s}, t={t}")
+        if not (0 < float(cfg.get("epsilon", 0.5)) < 1):
+            raise ConfigError("epsilon", "must lie in (0, 1)")
     elif exp == "control":
         sched_spec = _need(cfg, "schedule", dict)
         _need(sched_spec, "T")
@@ -239,6 +244,10 @@ def _setup(cfg, lam_max=None, count=None):
             raise ConfigError("mode", f"unknown control mode {mode!r}")
         if mode == "distributed" and obs.kind != CELL_MASK:
             raise ConfigError("set", "distributed control needs a cell-mask set")
+        for name in ("u0", "v0"):
+            kind = cfg.get(name, {}).get("kind", "random")
+            if kind not in ("zero", "random", "mode"):
+                raise ConfigError(f"{name}.kind", f"unknown kind {kind!r}")
     spec = compute_spectrum(assemble(domain, coeffs), lam_max=lam_max, count=count)
     if exp != "double-check":
         return spec, obs, None
@@ -381,9 +390,9 @@ def run_control(cfg, out: Path, log, threads):
     rho = float(sched_spec["rho"])
     steps = int(sched_spec["steps"])
     rng = np.random.default_rng(cfg["seed"])
-    u0 = build_field(spec, cfg.get("u0", {"kind": "random"}), rng)
+    u0 = build_field(spec, "u0", cfg.get("u0", {"kind": "random"}), rng)
     v0_spec = cfg.get("v0", {"kind": "zero"})
-    v0 = None if v0_spec.get("kind") == "zero" else build_field(spec, v0_spec, rng)
+    v0 = None if v0_spec.get("kind") == "zero" else build_field(spec, "v0", v0_spec, rng)
     D = float(cfg.get("cost_rate", 5e-4))
     mode = cfg.get("mode", "impulsive")
     checks = {}

@@ -12,6 +12,7 @@ program's depth and decays to zero as the depth grows.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,15 +96,9 @@ def _node_weights_for_cells(domain: Domain, kappa: np.ndarray | None, cells: np.
     d = domain.dimension
     share = domain.cell_volume / (2 ** d)
     vol = np.zeros(domain.n_nodes_total)
-    if d == 1:
-        np.add.at(vol, cells, share)
-        np.add.at(vol, cells + 1, share)
-    else:
-        ny = domain.n_cells[1]
-        cx, cy = domain.cell_multi_index(cells)
-        for dx in (0, 1):
-            for dy in (0, 1):
-                np.add.at(vol, (cx + dx) * (ny + 1) + (cy + dy), share)
+    idx = domain.cell_multi_index(cells)
+    for corner in itertools.product((0, 1), repeat=d):
+        np.add.at(vol, domain.node_index(*(i + c for i, c in zip(idx, corner))), share)
     vol_unknown = vol[domain.unknown_nodes]
     if kappa is None:
         kappa_u = np.ones_like(vol_unknown)
@@ -138,11 +133,8 @@ def interval_mask(domain: Domain, a: float, b: float) -> np.ndarray:
     if not b > a:
         raise ValueError("need b > a")
     h0 = domain.h[0]
-    cx = np.arange(domain.n_cells[0])
-    inside = (cx * h0 >= a - 1e-12) & ((cx + 1) * h0 <= b + 1e-12)
-    if domain.dimension == 1:
-        return inside
-    return np.repeat(inside, domain.n_cells[1])
+    cx = domain.cell_multi_index(np.arange(domain.n_cells_total))[0]
+    return (cx * h0 >= a - 1e-12) & ((cx + 1) * h0 <= b + 1e-12)
 
 
 def box_mask(domain: Domain, x0, x1, y0, y1) -> np.ndarray:

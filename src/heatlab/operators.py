@@ -65,37 +65,15 @@ def assemble(domain: Domain, coeffs: CoefficientField) -> DiscreteOperator:
     """
     if coeffs.domain is not domain and coeffs.g.shape[0] != domain.n_nodes_total:
         raise ValueError("coefficient field does not match the domain grid")
-    if domain.dimension == 2 and not coeffs.is_diagonal():
+    if not coeffs.is_diagonal():
         raise UnsupportedGeometryError(
             "2-D assembly supports diagonal metrics only (edge scheme carries no cross terms)")
 
-    N = domain.n_unknowns
-    K = np.zeros((N, N))
+    K = np.zeros((domain.n_unknowns, domain.n_unknowns))
     inv = domain.node_to_unknown
-
-    if domain.dimension == 1:
-        n = domain.n_cells[0]
-        h = domain.h[0]
-        a = np.arange(n)
-        b = a + 1
-        c = _edge_coefficient(coeffs, a, b, 0) / h  # coefficient * |edge| / h^2
-        _accumulate(K, inv[a], inv[b], c)
-    else:
-        nx, ny = domain.n_cells
-        hx, hy = domain.h
-        # x-edges: (ix, iy) -- (ix+1, iy); transverse dual width hy (halved on rim)
-        ix, iy = np.meshgrid(np.arange(nx), np.arange(ny + 1), indexing="ij")
-        a = (ix * (ny + 1) + iy).ravel()
-        b = a + (ny + 1)
-        ty = np.where((iy == 0) | (iy == ny), 0.5, 1.0).ravel() * hy
-        c = _edge_coefficient(coeffs, a, b, 0) * ty / hx
-        _accumulate(K, inv[a], inv[b], c)
-        # y-edges: (ix, iy) -- (ix, iy+1)
-        ix, iy = np.meshgrid(np.arange(nx + 1), np.arange(ny), indexing="ij")
-        a = (ix * (ny + 1) + iy).ravel()
-        b = a + 1
-        tx = np.where((ix == 0) | (ix == nx), 0.5, 1.0).ravel() * hx
-        c = _edge_coefficient(coeffs, a, b, 1) * tx / hy
+    for axis, a, b, width in domain.edges():
+        # coefficient * transverse dual width / h: the edge's share of the energy form
+        c = _edge_coefficient(coeffs, a, b, axis) * width / domain.h[axis]
         _accumulate(K, inv[a], inv[b], c)
 
     w = coeffs.kappa[domain.unknown_nodes] * domain.dual_volumes()

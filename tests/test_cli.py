@@ -107,6 +107,9 @@ SWEEP = {"experiment": "constant-sweep", "domain": INTERVAL, "coefficients": CON
 CONTROL = {"experiment": "control", "domain": INTERVAL, "coefficients": CONST,
            "seed": 0, "modes": 8, "set": {"kind": "full"},
            "schedule": {"T": 1.0, "rho": 0.5, "steps": 3}}
+INTERP = {"experiment": "interp-check", "domain": INTERVAL, "coefficients": CONST,
+          "seed": 0, "set": {"kind": "interval", "from": 0.0, "to": 1.5708},
+          "t": 0.5, "batch": 2}
 
 
 @pytest.mark.parametrize("cfg, field", [
@@ -116,7 +119,14 @@ CONTROL = {"experiment": "control", "domain": INTERVAL, "coefficients": CONST,
     ({"experiment": "double-check", "seed": 0, "coefficients": CONST,
       "domain": {"kind": "rectangle", "lx": 1.0, "ly": 1.0, "nx": 4, "ny": 4,
                  "bc": "dirichlet"}}, "domain"),
-], ids=["unknown-set-kind", "sup-on-mask", "unknown-control-mode", "double-on-rectangle"])
+    (dict(INTERP, s=0.6), "s"),
+    (dict(INTERP, s=0.5), "s"),
+    (dict(INTERP, epsilon=1.5), "epsilon"),
+    (dict(CONTROL, u0={"kind": "blob"}), "u0.kind"),
+    (dict(CONTROL, v0={"kind": "blob"}), "v0.kind"),
+], ids=["unknown-set-kind", "sup-on-mask", "unknown-control-mode", "double-on-rectangle",
+        "s-above-t", "s-equals-t", "epsilon-above-one", "unknown-u0-kind",
+        "unknown-v0-kind"])
 def test_config_errors_raise_before_the_eigensolve(tmp_path, monkeypatch, cfg, field):
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("eigensolve reached on an invalid config")
@@ -125,6 +135,14 @@ def test_config_errors_raise_before_the_eigensolve(tmp_path, monkeypatch, cfg, f
     with pytest.raises(ConfigError) as err:
         run(dict(cfg), out_dir=tmp_path / "bad")
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("name", ["u0", "v0"])
+def test_mode_index_error_names_the_field(tmp_path, name):
+    cfg = dict(CONTROL, **{name: {"kind": "mode", "k": 99}})
+    with pytest.raises(ConfigError) as err:
+        run(cfg, out_dir=tmp_path / "bad")
+    assert err.value.field == f"{name}.k"
 
 
 def test_cli_exit_codes(tmp_path):
@@ -139,6 +157,8 @@ def test_cli_exit_codes(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     assert main(["run", str(notjson)]) == 2
+    interp = write_cfg(tmp_path, dict(INTERP, s=0.6), "interp.json")
+    assert main(["run", str(interp), "--out", str(tmp_path / "o3")]) == 2
 
 
 SQUARE_24 = {"kind": "rectangle", "lx": math.pi, "ly": math.pi, "nx": 24, "ny": 24,

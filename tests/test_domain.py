@@ -128,3 +128,51 @@ def test_csv_roundtrip(tmp_path):
     loaded = load_coefficients_csv(dom, path)
     assert np.allclose(loaded.g, ref.g)
     assert np.allclose(loaded.kappa, ref.kappa)
+
+
+GRIDS = [
+    (lambda bc: build_interval(2.0, 9, bc), "interval-9"),
+    (lambda bc: build_rectangle(1.4, 0.6, 7, 5, bc), "rectangle-7x5"),
+    (lambda bc: build_rectangle(0.5, 2.0, 4, 6, bc), "rectangle-4x6"),
+]
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("make", [g[0] for g in GRIDS], ids=[g[1] for g in GRIDS])
+def test_node_index_inverts_node_multi_index(make, bc):
+    dom = make(bc)
+    flat = np.arange(dom.n_nodes_total)
+    assert np.array_equal(dom.node_index(*dom.node_multi_index(flat)), flat)
+    for i in (0, dom.n_nodes_total // 3, dom.n_nodes_total - 1):
+        assert dom.node_index(*dom.node_multi_index(i)) == i
+    # the per-axis indices address the node's coordinates
+    idx = dom.node_multi_index(flat)
+    coords = dom.node_coords(flat)
+    for a in range(dom.dimension):
+        assert np.allclose(coords[:, a], idx[a] * dom.h[a], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [g[0] for g in GRIDS], ids=[g[1] for g in GRIDS])
+def test_edges_against_coordinate_oracle(make):
+    # oracle: every edge joins two nodes one h apart along its axis, and its
+    # width is the trapezoid weight of its lower node across the other axes
+    dom = make(NEUMANN)
+    axes = []
+    for axis, a, b, width in dom.edges():
+        axes.append(axis)
+        step = np.zeros(dom.dimension)
+        step[axis] = dom.h[axis]
+        assert np.allclose(dom.node_coords(b) - dom.node_coords(a), step, rtol=0, atol=1e-12)
+        n_t = [n + 1 for t, n in enumerate(dom.n_cells) if t != axis]
+        assert a.size == dom.n_cells[axis] * int(np.prod(n_t))
+        assert np.all(np.diff(a) > 0)
+        assert np.unique(np.stack([a, b]), axis=1).shape[1] == a.size
+        x = dom.node_coords(a)
+        trapezoid = np.ones(a.size)
+        for t in range(dom.dimension):
+            if t != axis:
+                lo = np.maximum(x[:, t] - dom.h[t], 0.0)
+                hi = np.minimum(x[:, t] + dom.h[t], dom.lengths[t])
+                trapezoid *= (hi - lo) / 2
+        assert np.allclose(width, trapezoid, rtol=1e-12, atol=0)
+    assert axes == list(range(dom.dimension))

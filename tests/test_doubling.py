@@ -268,14 +268,14 @@ def test_spectral_inclusion_first_modes():
         assert dist <= max(1e-8, h2) * max(lam2, 1.0)
 
 
-def test_double_rectangle_flat_side():
-    dom = build_rectangle(1.0, 1.0, 12, 10, DIRICHLET)
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+def test_double_rectangle_flat_side(bc):
+    dom = build_rectangle(1.0, 1.0, 12, 10, bc)
     cf = random_lipschitz_coefficients(dom, 0.5, 0.5, seed=5)
     db = double_domain(dom, cf)
     assert db.domain.n_cells == (24, 10)
     assert db.interface_jump() <= 1e-12
     spec = compute_spectrum(assemble(dom, cf), count=3)
     for k in range(3):
-        ext, res = extend_eigenfunction(db, spec.vectors[:, k], spec.eigenvalues[k],
-                                        DIRICHLET)
+        ext, res = extend_eigenfunction(db, spec.vectors[:, k], spec.eigenvalues[k], bc)
         assert res <= 1e-9

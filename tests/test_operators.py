@@ -91,6 +91,35 @@ def test_2d_quadratic_form_against_direct_summation():
         assert u @ op.K @ u == pytest.approx(qx + qy, rel=1e-12)
 
 
+def test_2d_lipschitz_stiffness_against_node_pair_loop():
+    # oracle: loop over neighbouring node pairs found from coordinates, with
+    # the edge-averaged coefficient and the trapezoid transverse width
+    dom = build_rectangle(1.4, 0.6, 7, 5, NEUMANN)
+    cf = random_lipschitz_coefficients(dom, 0.8, 0.6, seed=4)
+    op = assemble(dom, cf)
+    coords = dom.node_coords(np.arange(dom.n_nodes_total))
+    nodes = {}
+    for i, (x, y) in enumerate(coords):
+        nodes[round(x / dom.h[0]), round(y / dom.h[1])] = i
+    K = np.zeros((dom.n_unknowns, dom.n_unknowns))
+    for (ix, iy), p in nodes.items():
+        for axis, q in ((0, nodes.get((ix + 1, iy))), (1, nodes.get((ix, iy + 1)))):
+            if q is None:
+                continue
+            t = 1 - axis
+            rim = (ix, iy)[t] in (0, dom.n_cells[t])
+            width = dom.h[t] * (0.5 if rim else 1.0)
+            kappa = 0.5 * (cf.kappa[p] + cf.kappa[q])
+            g = 0.5 * (cf.g[p, axis, axis] + cf.g[q, axis, axis])
+            c = kappa / g * width / dom.h[axis]
+            i, j = dom.node_to_unknown[p], dom.node_to_unknown[q]
+            K[i, i] += c
+            K[j, j] += c
+            K[i, j] -= c
+            K[j, i] -= c
+    assert np.allclose(op.K, K, rtol=1e-12, atol=1e-12 * np.abs(K).max())
+
+
 def test_offdiagonal_metric_rejected_in_2d():
     dom = build_rectangle(1.0, 1.0, 4, 4, DIRICHLET)
     g = np.tile(np.array([[2.0, 0.3], [0.3, 1.0]]), (dom.n_nodes_total, 1, 1))
