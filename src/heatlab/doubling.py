@@ -98,20 +98,29 @@ def smooth_normal(n0: np.ndarray, chi: np.ndarray, s_grid: np.ndarray,
 
     `n0` is (nz, d), `chi` is (nz,); returns (ns, nz, d). The integrand is
     compactly supported in the window, so the quadrature truncation is exact.
+    On the uniform z grid the quadrature is a Toeplitz product, computed as a
+    zero-padded FFT convolution with the kernel sampled once per level on the
+    lags -(nz-1)..(nz-1).
     """
     s_grid = np.asarray(s_grid, dtype=float)
     if np.any(s_grid < 0):
         raise ValueError("collar grid must satisfy s >= 0")
     z_grid = np.asarray(z_grid, dtype=float)
+    nz = z_grid.size
     dz = float(z_grid[1] - z_grid[0])
     source = chi[:, None] * n0             # (nz, d)
-    out = np.empty((s_grid.size, z_grid.size, n0.shape[1]))
-    diff = z_grid[:, None] - z_grid[None, :]
-    for i, s in enumerate(s_grid):
-        if s == 0.0:
-            out[i] = source
-        else:
-            out[i] = (poisson_kernel(s, diff) * dz) @ source
+    out = np.empty((s_grid.size, nz, n0.shape[1]))
+    out[s_grid == 0.0] = source
+    pos = s_grid > 0.0
+    if pos.any():
+        lags = np.arange(-(nz - 1), nz) * dz
+        kernel = poisson_kernel(s_grid[pos, None], lags[None, :]) * dz
+        # a power-of-two length >= 2 nz - 1: the slice below then holds only
+        # lags of the linear convolution, with no wrap-around
+        size = 1 << (2 * nz - 2).bit_length()
+        conv = np.fft.irfft(np.fft.rfft(kernel, size, axis=1)[:, :, None]
+                            * np.fft.rfft(source, size, axis=0)[None], size, axis=1)
+        out[pos] = conv[:, nz - 1:2 * nz - 1]
     return out
 
 
@@ -346,6 +355,6 @@ def extend_eigenfunction(doubled: DoubledSystem, eigvec: np.ndarray, lam_sq: flo
     ext = np.where(j < 0, parity, 1.0) * vals
 
     op2 = doubled.operator
-    r = op2.K @ ext - lam_sq * (op2.w * ext)
+    r = op2.K_csr @ ext - lam_sq * (op2.w * ext)
     residual = float(np.linalg.norm(r) / max(np.linalg.norm(ext), 1e-300))
     return ext, residual

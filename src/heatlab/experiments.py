@@ -208,6 +208,38 @@ def _norms(cfg, obs):
     return norms
 
 
+def _positive(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v) and v > 0)
+
+
+def _chart_params(cfg):
+    """The double-check's chart block as the build_chart arguments
+    (a_diag, s_max, n_s, z_extent, n_z), or None when no chart is configured.
+
+    The diagnostics difference across two collar levels on each side of
+    s = 0 and take second differences over three nodes of the cutoff's core
+    |z| <= z_extent/2, which every n_z >= 7 provides.
+    """
+    spec = cfg.get("chart")
+    if not spec:
+        return None
+    if not isinstance(spec, dict):
+        raise ConfigError("chart", "expected an object")
+    a_diag = spec.get("a_diag", [4.0, 1.0])
+    if not (isinstance(a_diag, list) and len(a_diag) == 2 and all(map(_positive, a_diag))):
+        raise ConfigError("chart.a_diag", "must be two positive numbers")
+    s_max, z_extent = spec.get("s_max", 0.05), spec.get("z_extent", 1.0)
+    n_s, n_z = spec.get("n_s", 10), spec.get("n_z", 801)
+    for name, v in (("s_max", s_max), ("z_extent", z_extent)):
+        if not _positive(v):
+            raise ConfigError(f"chart.{name}", "must be a positive number")
+    for name, v, least in (("n_s", n_s, 2), ("n_z", n_z, 7)):
+        if not (isinstance(v, int) and not isinstance(v, bool) and v >= least):
+            raise ConfigError(f"chart.{name}", f"must be an integer >= {least}")
+    return a_diag, float(s_max), n_s, float(z_extent), n_z
+
+
 def _setup(cfg, lam_max=None, count=None):
     """The stage every family starts with. Builds the domain, the coefficients
     and the observation set of the families that observe one, checks every
@@ -220,8 +252,10 @@ def _setup(cfg, lam_max=None, count=None):
     """
     exp = cfg["experiment"]
     domain = build_domain(cfg["domain"])
-    if exp == "double-check" and domain.dimension != 1:
-        raise ConfigError("domain", "the doubling experiment runs on intervals")
+    if exp == "double-check":
+        if domain.dimension != 1:
+            raise ConfigError("domain", "the doubling experiment runs on intervals")
+        _chart_params(cfg)
     coeffs = build_coefficients(domain, cfg["coefficients"], cfg["seed"])
     obs = None
     if exp in ("constant-sweep", "interp-check", "control"):
@@ -488,16 +522,13 @@ def run_double_check(cfg, out: Path, log, threads):
         "interface_continuous": db.interface_jump() <= 1e-12,
     }
 
-    chart_spec = cfg.get("chart")
-    if chart_spec:
-        a_diag = chart_spec.get("a_diag", [4.0, 1.0])
+    chart_params = _chart_params(cfg)
+    if chart_params:
+        a_diag, s_max, n_s, z_extent, n_z = chart_params
         a_fn = (lambda y, z:
                 np.broadcast_to(np.diag(np.asarray(a_diag, dtype=float)),
                                 np.shape(y) + (2, 2)).copy())
-        chart = build_chart(a_fn, float(chart_spec.get("s_max", 0.05)),
-                            int(chart_spec.get("n_s", 10)),
-                            float(chart_spec.get("z_extent", 1.0)),
-                            int(chart_spec.get("n_z", 801)))
+        chart = build_chart(a_fn, s_max, n_s, z_extent, n_z)
         diag = pseudo_geodesic_diag(chart)
         crows = []
         for i, s in enumerate(chart.s_grid):

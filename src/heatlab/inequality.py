@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
+import scipy  # scipy.optimize is loaded on first attribute access, not at import
 
 from .errors import InsufficientDataError, NumericalFailureError, SearchFailureError
 from .obsets import CELL_MASK, ObservationSet

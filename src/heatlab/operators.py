@@ -11,8 +11,10 @@ operator normalization is w^{-1} K.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .domain import CoefficientField, Domain
 from .errors import UnsupportedGeometryError
@@ -20,7 +22,10 @@ from .errors import UnsupportedGeometryError
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Stiffness form K (symmetric PSD, unknowns only) and mass weights w."""
+    """Stiffness form K (symmetric PSD, unknowns only) and mass weights w.
+
+    K is dense; `K_csr` is its CSR view, which the eigensolver, the residual
+    checks and the parity extension multiply and factor with."""
 
     domain: Domain
     coefficients: CoefficientField
@@ -31,22 +36,11 @@ class DiscreteOperator:
     def n(self) -> int:
         return self.K.shape[0]
 
-    def validate(self) -> dict:
-        """Measured invariants: symmetry, definiteness, row sums, positivity of w."""
-        sym = float(np.abs(self.K - self.K.T).max() / max(np.abs(self.K).max(), 1e-300))
-        report = {"symmetry_rel": sym, "w_min": float(self.w.min())}
-        if self.domain.bc == "neumann":
-            rows = np.abs(self.K.sum(axis=1)).max()
-            report["neumann_row_sum"] = float(rows)
-            const = np.ones(self.n)
-            report["neumann_kernel_residual"] = float(np.linalg.norm(self.K @ const))
-        else:
-            try:
-                np.linalg.cholesky(self.K)
-                report["dirichlet_positive_definite"] = True
-            except np.linalg.LinAlgError:
-                report["dirichlet_positive_definite"] = False
-        return report
+    @cached_property
+    def K_csr(self) -> scipy.sparse.csr_matrix:
+        """CSR copy of K, equal to it entry for entry, built on first use and
+        shared by every sparse product and factorization of this operator."""
+        return scipy.sparse.csr_matrix(self.K)
 
 
 def _edge_coefficient(coeffs: CoefficientField, a: np.ndarray, b: np.ndarray, axis: int):

@@ -73,7 +73,7 @@ class Spectrum:
         """Orthonormality and generalized-eigen residual diagnostics."""
         G = self.vectors.T @ (self.weights[:, None] * self.vectors)
         ortho = float(np.abs(G - np.eye(self.n_modes)).max())
-        R = self.operator.K @ self.vectors - (self.weights[:, None] * self.vectors) * self.eigenvalues
+        R = self.operator.K_csr @ self.vectors - (self.weights[:, None] * self.vectors) * self.eigenvalues
         res = float(np.max(np.linalg.norm(R, axis=0) /
                            np.maximum(np.linalg.norm(self.vectors, axis=0), 1e-300)))
         asc = bool(np.all(np.diff(self.frequencies) >= -1e-12))
@@ -142,7 +142,7 @@ def _band_solve(op: DiscreteOperator, lam_max: float | None, count: int | None):
     inertia-certified; None when the dense solve should run instead."""
     if op.n < _BAND_MIN_UNKNOWNS:
         return None
-    K = scipy.sparse.csr_matrix(op.K)
+    K = op.K_csr
     W = scipy.sparse.diags(op.w)
     counts = ()
     if lam_max is not None:
@@ -263,7 +263,7 @@ def lift_residual(spectrum: Spectrum, u: np.ndarray, t_grid: np.ndarray) -> floa
     if not np.allclose(dt, dt[0], rtol=1e-10, atol=0):
         raise ValueError("lift residual expects a uniform time grid")
     dt = dt[0]
-    K, w = spectrum.operator.K, spectrum.weights
+    K, w = spectrum.operator.K_csr, spectrum.weights
     worst = 0.0
     for i in range(1, t_grid.size - 1):
         d2t = (u[i + 1] - 2 * u[i] + u[i - 1]) / dt ** 2

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +111,9 @@ SWEEP = {"experiment": "constant-sweep", "domain": INTERVAL, "coefficients": CON
 CONTROL = {"experiment": "control", "domain": INTERVAL, "coefficients": CONST,
            "seed": 0, "modes": 8, "set": {"kind": "full"},
            "schedule": {"T": 1.0, "rho": 0.5, "steps": 3}}
+DOUBLE = {"experiment": "double-check", "domain": dict(INTERVAL, cells=20), "coefficients": CONST,
+          "seed": 0, "modes": 3,
+          "chart": {"a_diag": [4.0, 1.0], "s_max": 0.04, "n_s": 4, "z_extent": 1.0, "n_z": 401}}
 INTERP = {"experiment": "interp-check", "domain": INTERVAL, "coefficients": CONST,
           "seed": 0, "set": {"kind": "interval", "from": 0.0, "to": 1.5708},
           "t": 0.5, "batch": 2}
@@ -124,9 +131,15 @@ INTERP = {"experiment": "interp-check", "domain": INTERVAL, "coefficients": CONS
     (dict(INTERP, epsilon=1.5), "epsilon"),
     (dict(CONTROL, u0={"kind": "blob"}), "u0.kind"),
     (dict(CONTROL, v0={"kind": "blob"}), "v0.kind"),
+    (dict(DOUBLE, chart=dict(DOUBLE["chart"], s_max=0.0)), "chart.s_max"),
+    (dict(DOUBLE, chart=dict(DOUBLE["chart"], n_z=1)), "chart.n_z"),
+    (dict(DOUBLE, chart=dict(DOUBLE["chart"], n_s=0)), "chart.n_s"),
+    (dict(DOUBLE, chart=dict(DOUBLE["chart"], a_diag=[4.0])), "chart.a_diag"),
+    (dict(DOUBLE, chart=dict(DOUBLE["chart"], a_diag=[-4.0, 1.0])), "chart.a_diag"),
 ], ids=["unknown-set-kind", "sup-on-mask", "unknown-control-mode", "double-on-rectangle",
         "s-above-t", "s-equals-t", "epsilon-above-one", "unknown-u0-kind",
-        "unknown-v0-kind"])
+        "unknown-v0-kind", "chart-s-max-zero", "chart-n-z-one", "chart-n-s-zero",
+        "chart-a-diag-short", "chart-a-diag-negative"])
 def test_config_errors_raise_before_the_eigensolve(tmp_path, monkeypatch, cfg, field):
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("eigensolve reached on an invalid config")
@@ -135,6 +148,21 @@ def test_config_errors_raise_before_the_eigensolve(tmp_path, monkeypatch, cfg, f
     with pytest.raises(ConfigError) as err:
         run(dict(cfg), out_dir=tmp_path / "bad")
     assert err.value.field == field
+
+
+def test_double_check_chart_at_the_smallest_accepted_grid(tmp_path):
+    cfg = dict(DOUBLE, chart=dict(DOUBLE["chart"], n_s=2, n_z=7))
+    summary, checks, _ = run(cfg, out_dir=tmp_path / "small")
+    assert checks["chart_normal_exact"] and checks["chart_b0_diagonal"]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is loaded on first use; starting the CLI never needs it
+    src = str(Path(heatlab.experiments.__file__).parents[1])
+    code = "import sys, heatlab.cli; sys.exit('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0
 
 
 @pytest.mark.parametrize("name", ["u0", "v0"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from heatlab import (
     DIRICHLET,
@@ -7,6 +8,7 @@ from heatlab import (
     assemble,
     build_interval,
     build_rectangle,
+    compute_spectrum,
     constant_coefficients,
     random_lipschitz_coefficients,
 )
@@ -45,14 +47,39 @@ def test_neumann_rows_sum_to_zero():
     op = assemble(dom, cf)
     assert np.abs(op.K.sum(axis=1)).max() <= 1e-12 * np.abs(op.K).max()
     assert np.linalg.norm(op.K @ np.ones(op.n)) <= 1e-10
-    assert op.validate()["neumann_kernel_residual"] <= 1e-10
 
 
 def test_dirichlet_positive_definite():
     dom = build_interval(1.0, 50, DIRICHLET)
     cf = random_lipschitz_coefficients(dom, 1.0, 1.0, seed=3)
     op = assemble(dom, cf)
-    assert op.validate()["dirichlet_positive_definite"]
+    np.linalg.cholesky(op.K)   # raises LinAlgError unless K is positive definite
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+@pytest.mark.parametrize("dom_of", [lambda bc: build_interval(1.0, 30, bc),
+                                    lambda bc: build_rectangle(1.0, 1.0, 24, 24, bc)],
+                         ids=["interval", "square"])
+def test_csr_view_equals_k_and_is_built_once(dom_of, bc, monkeypatch):
+    dom = dom_of(bc)
+    op = assemble(dom, random_lipschitz_coefficients(dom, 1.0, 1.0, seed=4))
+    to_csr = scipy.sparse.csr_matrix
+    conversions = []
+
+    def counted(arg, *args, **kwargs):
+        if isinstance(arg, np.ndarray):
+            conversions.append(arg)
+        return to_csr(arg, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", counted)
+    # on the square (529 and 625 unknowns) a 5-mode request takes the band
+    # path, whose Lanczos solve and inertia counts use the view as well
+    spec = compute_spectrum(op, count=5)
+    spec.validate()
+    assert op.K_csr is op.K_csr
+    assert len(conversions) == 1 and conversions[0] is op.K
+    dense = op.K_csr.toarray()
+    assert dense.dtype == op.K.dtype and np.array_equal(dense, op.K)
 
 
 def test_apply_constant_neumann_zero():

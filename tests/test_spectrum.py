@@ -75,6 +75,21 @@ def test_orthonormality_and_residual_random_coefficients():
     assert rep["ascending"]
 
 
+@pytest.mark.parametrize("dom", [build_interval(1.0, 80, NEUMANN),
+                                 build_rectangle(1.0, 1.0, 12, 9, DIRICHLET)],
+                         ids=["interval", "rectangle"])
+def test_sparse_residual_matches_dense_formula(dom):
+    # off-eigen vectors make the residual O(1), so agreement is not round-off
+    op = assemble(dom, random_lipschitz_coefficients(dom, 1.0, 1.0, seed=6))
+    rng = np.random.default_rng(6)
+    V = rng.standard_normal((op.n, 7))
+    freqs = np.sort(rng.uniform(0.0, 10.0, 7))
+    spec = spectrum_module.Spectrum(op, freqs, V, op.w)
+    R = op.K @ V - (op.w[:, None] * V) * freqs ** 2
+    dense = np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0))
+    assert spec.validate()["eigen_residual"] == pytest.approx(dense, rel=1e-13)
+
+
 def dense_oracle(op):
     """Every eigenpair by scipy.linalg.eigh on the w^{-1/2}-symmetrized K, with
     w-normalized vectors whose largest-magnitude entry is positive."""
