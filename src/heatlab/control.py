@@ -66,32 +66,21 @@ class StepControl:
 
 def _solve_step(spectrum: Spectrum, obs: ObservationSet, band: np.ndarray,
                 targets: np.ndarray, time: float, step_index=None) -> StepControl:
-    """Minimum-norm payload whose band moments equal `targets`."""
+    """Minimum-norm payload whose band moments equal `targets`: a density on
+    the unknowns (zero off a cell mask) or atom weights on a point cloud."""
     lam_cut = float(spectrum.frequencies[band].max())
     if obs.kind == CELL_MASK:
         V = spectrum.vectors[:, band]
-        G = obs.gram(V)
-        evals, evecs = np.linalg.eigh(G)
+        evals, evecs = np.linalg.eigh(obs.gram(V))
         gmin = float(evals[0])
         keep = evals > max(evals[-1], 1e-300) * 1e-13
+        E, ev = evecs[:, keep], evals[keep]
+        on_set = obs.node_weights > 0
 
         def solve(rhs):
-            return evecs[:, keep] @ ((evecs[:, keep].T @ rhs) / evals[keep])
+            return np.where(on_set, V @ (E @ ((E.T @ rhs) / ev)), 0.0)
 
-        on_set = obs.node_weights > 0
         moments_of = lambda p: (V.T * obs.node_weights) @ p
-        # iterative refinement in the payload frame: the conditioning cap keeps
-        # cond * eps << 1, so each pass shrinks the achieved-moment residual
-        payload = np.where(on_set, V @ solve(targets), 0.0)
-        for _ in range(4):
-            r = targets - moments_of(payload)
-            if np.abs(r).max() <= 1e-13 * max(np.abs(targets).max(), 1e-300):
-                break
-            payload = payload + np.where(on_set, V @ solve(r), 0.0)
-        achieved = moments_of(payload)
-        jump = spectrum.vectors.T @ (obs.node_weights * payload)
-        tv = float(np.sum(np.abs(payload) * obs.node_volumes))
-        kind = "density"
     else:
         P = obs.rows(spectrum.vectors)
         A = P[:, band].T                        # (band, n_points)
@@ -102,17 +91,22 @@ def _solve_step(spectrum: Spectrum, obs: ObservationSet, band: np.ndarray,
         def solve(rhs):
             return Vt[keep].T @ ((U[:, keep].T @ rhs) / sv[keep])
 
-        weights = solve(targets)
-        for _ in range(4):
-            r = targets - A @ weights
-            if np.abs(r).max() <= 1e-13 * max(np.abs(targets).max(), 1e-300):
-                break
-            weights = weights + solve(r)
-        achieved = A @ weights
-        payload = weights
-        jump = P.T @ weights
-        tv = float(np.abs(weights).sum())
-        kind = "atoms"
+        moments_of = lambda w: A @ w
+    # iterative refinement in the payload frame: the conditioning cap keeps
+    # cond * eps << 1, so each pass shrinks the achieved-moment residual
+    payload = solve(targets)
+    for _ in range(4):
+        r = targets - moments_of(payload)
+        if np.abs(r).max() <= 1e-13 * max(np.abs(targets).max(), 1e-300):
+            break
+        payload = payload + solve(r)
+    achieved = moments_of(payload)
+    if obs.kind == CELL_MASK:
+        jump = spectrum.vectors.T @ (obs.node_weights * payload)
+        tv, kind = float(np.sum(np.abs(payload) * obs.node_volumes)), "density"
+    else:
+        jump = P.T @ payload
+        tv, kind = float(np.abs(payload).sum()), "atoms"
     scale = max(float(np.abs(targets).max()), 1e-300)
     resid = np.abs(achieved - targets)
     rel = float(resid.max() / scale)
@@ -300,19 +294,20 @@ class DistributedResult:
     fubini: object
 
 
-def distributed_control(spectrum: Spectrum, mask: np.ndarray, T: float, u0, v0=None,
-                        n_steps: int = 8, rho: float = 0.5,
-                        c_lambda: float = DEFAULT_C_LAMBDA) -> DistributedResult:
+def distributed_control(spectrum: Spectrum, mask: np.ndarray, schedule: TimeSequence,
+                        u0, v0=None, c_lambda: float = DEFAULT_C_LAMBDA) -> DistributedResult:
     """Steering by piecewise-constant-in-time densities on the fat slices of a
-    space-time mask: each geometric window smears the low-band kill over its
-    admissible time slabs (support: cells present in every used slab).
+    space-time mask over the schedule's horizon T: the windows run from one
+    lr_schedule time to the next (the first from 0, the last to T), and each
+    smears the low-band kill over its admissible time slabs (support: cells
+    present in every used slab).
     """
     domain = spectrum.operator.domain
     kappa = spectrum.operator.coefficients.kappa
+    T = schedule.horizon
     fub = fubini_slices(mask, domain, T)
     nt = mask.shape[0]
     dt = T / nt
-    schedule = lr_schedule(T, rho, n_steps)
     bounds = np.concatenate([schedule.times, [T]])
     lam2 = spectrum.eigenvalues
 

@@ -14,12 +14,14 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__ as _version
 from .control import (
+    DEFAULT_C_LAMBDA,
     cost_report,
     distributed_control,
     lr_schedule,
@@ -46,7 +48,7 @@ from .inequality import (
 )
 from .obsets import (
     CELL_MASK,
-    POINT_CLOUD,
+    ObservationSet,
     box_mask,
     cantor_set,
     full_domain_set,
@@ -56,9 +58,8 @@ from .obsets import (
     set_from_mask,
 )
 from .operators import assemble
-from .spectrum import compute_spectrum, eigen_sup_exponent, sup_embedding_constant, weyl_exponent
-
-EXPERIMENTS = ("spectrum", "constant-sweep", "interp-check", "control", "double-check")
+from .spectrum import (Spectrum, compute_spectrum, eigen_sup_exponent, sup_embedding_constant,
+                       weyl_exponent)
 
 
 def config_hash(cfg: dict) -> str:
@@ -92,18 +93,21 @@ def _need(cfg, field, kind=None):
     return v
 
 
-def _uses_randomness(cfg) -> bool:
-    if cfg.get("coefficients", {}).get("kind") == "piecewise_linear":
-        return True
-    if cfg.get("set", {}).get("kind") == "random":
-        return True
-    if cfg.get("experiment") == "interp-check":
-        return True
-    if cfg.get("experiment") == "control":
-        u0 = cfg.get("u0", {"kind": "random"}).get("kind", "random")
-        v0 = cfg.get("v0", {"kind": "zero"}).get("kind", "zero")
-        return u0 == "random" or v0 == "random"
-    return False
+def _number(field, v, positive=True) -> float:
+    """`v` as a float, checked to be finite and, unless `positive` is False, > 0."""
+    if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v) and (v > 0 or not positive)):
+        raise ConfigError(field, f"must be a {'positive ' if positive else ''}number")
+    return float(v)
+
+
+def _integer(field, v, least, most=None):
+    """`v`, checked to be an integer in [least, most] (no bound when None)."""
+    if not (isinstance(v, int) and not isinstance(v, bool) and v >= least
+            and (most is None or v <= most)):
+        span = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ConfigError(field, f"must be an integer {span}")
+    return v
 
 
 def build_domain(spec) -> object:
@@ -117,7 +121,7 @@ def build_domain(spec) -> object:
         if kind == "rectangle":
             return build_rectangle(_need(spec, "lx"), _need(spec, "ly"),
                                    _need(spec, "nx", int), _need(spec, "ny", int), bc)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError("domain", str(exc)) from exc
     raise ConfigError("domain.kind", f"unknown kind {kind!r}")
 
@@ -155,62 +159,54 @@ def build_set(domain, spec, seed, kappa):
                               placement, transverse)
         if kind == "points":
             return point_cloud(domain, spec["coords"])
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError("set", str(exc)) from exc
     raise ConfigError("set.kind", f"unknown kind {kind!r}")
 
 
-def build_field(spectrum, name, spec, rng):
-    """The control field `name` ("u0" or "v0") described by `spec`."""
-    kind = spec.get("kind", "random")
-    if kind == "zero":
+def build_field(spectrum, spec, rng):
+    """The control field a checked u0/v0 spec describes (see _field_spec)."""
+    if spec["kind"] == "zero":
         return np.zeros(spectrum.vectors.shape[0])
-    if kind == "random":
+    if spec["kind"] == "random":
         return spectrum.synthesize_values(rng.standard_normal(spectrum.n_modes))
-    if kind == "mode":
-        k = int(spec.get("k", 1))
-        if not (1 <= k <= spectrum.n_modes):
-            raise ConfigError(f"{name}.k", f"mode index must lie in [1, {spectrum.n_modes}]")
-        return float(spec.get("amplitude", 1.0)) * spectrum.vectors[:, k - 1]
-    raise ConfigError(f"{name}.kind", f"unknown kind {kind!r}")
+    return spec["amplitude"] * spectrum.vectors[:, spec["k"] - 1]
+
+
+def _field_spec(cfg, name, default, n_modes):
+    """Control field `name` with its own default kind and a checked mode index."""
+    spec = dict(_need(cfg, name, dict)) if name in cfg else {}
+    spec["kind"] = spec.get("kind", default)
+    if spec["kind"] not in ("zero", "random", "mode"):
+        raise ConfigError(f"{name}.kind", f"unknown kind {spec['kind']!r}")
+    if spec["kind"] == "mode":
+        _integer(f"{name}.k", spec.setdefault("k", 1), 1, n_modes)
+        spec["amplitude"] = _number(f"{name}.amplitude", spec.get("amplitude", 1.0), False)
+    return spec
 
 
 def _lambda_grid(spec):
-    if isinstance(spec, list):
-        grid = np.asarray(spec, dtype=float)
-    else:
-        grid = np.linspace(_need(spec, "min"), _need(spec, "max"),
-                           _need(spec, "count", int))
+    try:
+        if isinstance(spec, list):
+            grid = np.asarray(spec, dtype=float)
+        else:
+            grid = np.linspace(_need(spec, "min"), _need(spec, "max"), _need(spec, "count", int))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError("lambda_grid", str(exc)) from exc
     if grid.size < 1 or np.any(np.diff(grid) <= 0):
         raise ConfigError("lambda_grid", "grid must be strictly increasing and nonempty")
     return grid
 
 
-def validate_config(cfg: dict):
-    exp = _need(cfg, "experiment", str)
-    if exp not in EXPERIMENTS:
-        raise ConfigError("experiment", f"must be one of {EXPERIMENTS}")
-    _need(cfg, "domain", dict)
-    _need(cfg, "coefficients", dict)
-    if _uses_randomness(cfg) and "seed" not in cfg:
-        raise ConfigError("seed", "required whenever the config draws random data")
-    cfg.setdefault("seed", 0)
-
-
 def _norms(cfg, obs):
-    """The norms a constant sweep computes, checked against the set kind."""
-    norms = cfg.get("norms", ["l2"] if obs.kind == CELL_MASK else ["sup"])
+    """The norms a constant sweep computes: l2 and l1 on a cell mask, sup on
+    a point cloud."""
+    allowed = ("l2", "l1") if obs.kind == CELL_MASK else ("sup",)
+    norms = _need(cfg, "norms", list) if "norms" in cfg else [allowed[0]]
     for nm in norms:
-        if nm in ("l2", "l1") and obs.kind != CELL_MASK:
-            raise ConfigError("norms", f"{nm} constants need a cell-mask set")
-        if nm == "sup" and obs.kind != POINT_CLOUD:
-            raise ConfigError("norms", "sup constants need a point-cloud set")
+        if nm not in allowed:
+            raise ConfigError("norms", f"a {obs.kind} set takes {list(allowed)}, got {nm!r}")
     return norms
-
-
-def _positive(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v) and v > 0)
 
 
 def _chart_params(cfg):
@@ -227,74 +223,110 @@ def _chart_params(cfg):
     if not isinstance(spec, dict):
         raise ConfigError("chart", "expected an object")
     a_diag = spec.get("a_diag", [4.0, 1.0])
-    if not (isinstance(a_diag, list) and len(a_diag) == 2 and all(map(_positive, a_diag))):
+    if not (isinstance(a_diag, list) and len(a_diag) == 2):
         raise ConfigError("chart.a_diag", "must be two positive numbers")
-    s_max, z_extent = spec.get("s_max", 0.05), spec.get("z_extent", 1.0)
-    n_s, n_z = spec.get("n_s", 10), spec.get("n_z", 801)
-    for name, v in (("s_max", s_max), ("z_extent", z_extent)):
-        if not _positive(v):
-            raise ConfigError(f"chart.{name}", "must be a positive number")
-    for name, v, least in (("n_s", n_s, 2), ("n_z", n_z, 7)):
-        if not (isinstance(v, int) and not isinstance(v, bool) and v >= least):
-            raise ConfigError(f"chart.{name}", f"must be an integer >= {least}")
-    return a_diag, float(s_max), n_s, float(z_extent), n_z
+    return ([_number("chart.a_diag", v) for v in a_diag],
+            _number("chart.s_max", spec.get("s_max", 0.05)),
+            _integer("chart.n_s", spec.get("n_s", 10), 2),
+            _number("chart.z_extent", spec.get("z_extent", 1.0)),
+            _integer("chart.n_z", spec.get("n_z", 801), 7))
 
 
-def _setup(cfg, lam_max=None, count=None):
-    """The stage every family starts with. Builds the domain, the coefficients
-    and the observation set of the families that observe one, checks every
-    field that does not need the spectrum, and only then assembles and solves
-    for the modes with lambda <= lam_max, or the first `count` (all when both
-    are None).
+@dataclass(eq=False)
+class RunPlan:
+    """A checked config as `_setup` hands it to the runner. `params` holds the
+    family's fields by config name, defaulted and checked (docs/config.md);
+    a control `schedule` is its lr_schedule. `doubled` is the double-check's
+    reflected double with its complete spectrum."""
 
-    Returns (spectrum, observation set or None, doubled), where `doubled` is
-    the double-check's reflected double with its complete spectrum, else None.
-    """
-    exp = cfg["experiment"]
-    domain = build_domain(cfg["domain"])
-    if exp == "double-check":
-        if domain.dimension != 1:
-            raise ConfigError("domain", "the doubling experiment runs on intervals")
-        _chart_params(cfg)
-    coeffs = build_coefficients(domain, cfg["coefficients"], cfg["seed"])
-    obs = None
-    if exp in ("constant-sweep", "interp-check", "control"):
-        obs = build_set(domain, _need(cfg, "set", dict), cfg["seed"], coeffs.kappa)
-    if exp == "constant-sweep":
-        _norms(cfg, obs)
+    experiment: str
+    seed: int
+    config_hash: str
+    out: str
+    spectrum: Spectrum
+    obs: ObservationSet | None
+    params: dict
+    doubled: tuple | None
+
+
+def _setup(cfg) -> RunPlan:
+    """The one reader of a config. Reads, defaults and checks every field the
+    family uses and works out the spectrum it needs (the top of the lambda
+    grid, `modes`, `count` or `lambda_max`); only then assembles and solves."""
+    exp = _need(cfg, "experiment", str)
+    if exp not in RUNNERS:
+        raise ConfigError("experiment", f"must be one of {tuple(RUNNERS)}")
+    domain = build_domain(_need(cfg, "domain", dict))
+    coeff_spec = _need(cfg, "coefficients", dict)
+    observed = exp in ("constant-sweep", "interp-check", "control")
+    set_spec = _need(cfg, "set", dict) if observed else {}
+    out = _need(cfg, "out", str) if cfg.get("out") else f"heatlab-out/{exp}"
+    n = domain.n_unknowns
+    p, lam_max, count = {}, None, None
+    if exp == "spectrum":
+        lam_max, count = cfg.get("lambda_max"), cfg.get("count")
+        lam_max = None if lam_max is None else _number("lambda_max", lam_max)
+        count = None if count is None else _integer("count", count, 1, n)
+    elif exp == "constant-sweep":
+        p["lambda_grid"] = _lambda_grid(_need(cfg, "lambda_grid", (dict, list)))
+        lam_max = p["lambda_grid"][-1]
     elif exp == "interp-check":
-        s, t = float(cfg.get("s", 0.0)), float(_need(cfg, "t"))
+        s, t = _number("s", cfg.get("s", 0.0), False), _number("t", _need(cfg, "t"), False)
         if not (0 <= s < t):
             raise ConfigError("s", f"need 0 <= s < t, got s={s}, t={t}")
-        if not (0 < float(cfg.get("epsilon", 0.5)) < 1):
+        eps = _number("epsilon", cfg.get("epsilon", 0.5), False)
+        if not (0 < eps < 1):
             raise ConfigError("epsilon", "must lie in (0, 1)")
+        p.update(s=s, t=t, epsilon=eps, batch=_integer("batch", cfg.get("batch", 50), 1))
     elif exp == "control":
-        sched_spec = _need(cfg, "schedule", dict)
-        _need(sched_spec, "T")
-        _need(sched_spec, "rho")
-        _need(sched_spec, "steps", int)
-        mode = cfg.get("mode", "impulsive")
-        if mode not in ("impulsive", "distributed"):
-            raise ConfigError("mode", f"unknown control mode {mode!r}")
-        if mode == "distributed" and obs.kind != CELL_MASK:
-            raise ConfigError("set", "distributed control needs a cell-mask set")
-        for name in ("u0", "v0"):
-            kind = cfg.get(name, {}).get("kind", "random")
-            if kind not in ("zero", "random", "mode"):
-                raise ConfigError(f"{name}.kind", f"unknown kind {kind!r}")
-    spec = compute_spectrum(assemble(domain, coeffs), lam_max=lam_max, count=count)
-    if exp != "double-check":
-        return spec, obs, None
-    db = double_domain(domain, coeffs)
-    return spec, obs, (db, compute_spectrum(db.operator))
+        count = _integer("modes", cfg.get("modes", n), 1, n)
+        sched = _need(cfg, "schedule", dict)
+        try:
+            p["schedule"] = lr_schedule(_number("schedule.T", _need(sched, "T"), False),
+                                        _number("schedule.rho", _need(sched, "rho"), False),
+                                        _need(sched, "steps", int))
+        except ValueError as exc:
+            raise ConfigError("schedule", str(exc)) from exc
+        p["mode"] = cfg.get("mode", "impulsive")
+        if p["mode"] not in ("impulsive", "distributed"):
+            raise ConfigError("mode", f"unknown control mode {p['mode']!r}")
+        p["u0"] = _field_spec(cfg, "u0", "random", count)
+        p["v0"] = _field_spec(cfg, "v0", "zero", count)
+        p["cost_rate"] = _number("cost_rate", cfg.get("cost_rate", 5e-4))
+        p["c_lambda"] = _number("c_lambda", cfg.get("c_lambda", DEFAULT_C_LAMBDA))
+        p["time_slabs"] = _integer("time_slabs", cfg.get("time_slabs", 32), 1)
+    else:
+        if domain.dimension != 1:
+            raise ConfigError("domain", "the doubling experiment runs on intervals")
+        count = _integer("modes", cfg.get("modes", 10), 1, n)
+        p["chart"] = _chart_params(cfg)
+    draws = (coeff_spec.get("kind") == "piecewise_linear" or set_spec.get("kind") == "random"
+             or exp == "interp-check"
+             or any(p[f]["kind"] == "random" for f in ("u0", "v0") if f in p))
+    if draws and "seed" not in cfg:
+        raise ConfigError("seed", "required whenever the config draws random data")
+    seed = _integer("seed", cfg.get("seed", 0), 0)
+    coeffs = build_coefficients(domain, coeff_spec, seed)
+    obs = build_set(domain, set_spec, seed, coeffs.kappa) if observed else None
+    if exp == "constant-sweep":
+        p["norms"] = _norms(cfg, obs)
+    if p.get("mode") == "distributed" and obs.kind != CELL_MASK:
+        raise ConfigError("set", "distributed control needs a cell-mask set")
+    spectrum = compute_spectrum(assemble(domain, coeffs), lam_max=lam_max, count=count)
+    doubled = None
+    if exp == "double-check":
+        db = double_domain(domain, coeffs)
+        doubled = (db, compute_spectrum(db.operator))
+    return RunPlan(exp, seed, config_hash(dict(cfg, seed=seed)), out, spectrum, obs, p,
+                   doubled)
 
 
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
 
-def run_spectrum(cfg, out: Path, log, threads):
-    spec, _, _ = _setup(cfg, lam_max=cfg.get("lambda_max"), count=cfg.get("count"))
+def run_spectrum(plan: RunPlan, out: Path, log, threads):
+    spec = plan.spectrum
     op = spec.operator
     log(f"computed {spec.n_modes} eigenpairs on {op.n} unknowns")
     sup = spec.sup_norms()
@@ -319,23 +351,21 @@ def run_spectrum(cfg, out: Path, log, threads):
     return summary, checks
 
 
-def run_constant_sweep(cfg, out: Path, log, threads):
-    grid = _lambda_grid(_need(cfg, "lambda_grid", (dict, list)))
-    spec, obs, _ = _setup(cfg, lam_max=grid[-1])
-    norms = _norms(cfg, obs)
+def run_constant_sweep(plan: RunPlan, out: Path, log, threads):
+    spec, obs, grid = plan.spectrum, plan.obs, plan.params["lambda_grid"]
 
     def one(nm, lam):
         if nm == "l2":
             return constant_l2(spec, obs, lam)
         if nm == "l1":
-            return constant_l1(spec, obs, lam, seed=cfg["seed"]).value
+            return constant_l1(spec, obs, lam, seed=plan.seed).value
         return constant_sup(spec, obs, lam)
 
     rows = []
     summary = {"set_kind": obs.kind, "measure": obs.measure, "fits": {}}
     checks = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        for nm in norms:
+        for nm in plan.params["norms"]:
             consts = list(pool.map(lambda lam: one(nm, lam), grid))
             if nm == "sup":
                 log(f"sup: {sum(c.lp_solved for c in consts)} LPs solved, "
@@ -360,13 +390,10 @@ def run_constant_sweep(cfg, out: Path, log, threads):
     return summary, checks
 
 
-def run_interp_check(cfg, out: Path, log, threads):
-    spec, obs, _ = _setup(cfg)
-    s = float(cfg.get("s", 0.0))
-    t = float(cfg["t"])
-    eps = float(cfg.get("epsilon", 0.5))
-    batch = int(cfg.get("batch", 50))
-    rng = np.random.default_rng(cfg["seed"])
+def run_interp_check(plan: RunPlan, out: Path, log, threads):
+    spec, obs = plan.spectrum, plan.obs
+    s, t, eps, batch = (plan.params[k] for k in ("s", "t", "epsilon", "batch"))
+    rng = np.random.default_rng(plan.seed)
     fields = [spec.synthesize_values(rng.standard_normal(spec.n_modes))
               for _ in range(batch)]
 
@@ -417,30 +444,21 @@ def _export_schedule(sched, path: Path):
     path.write_text(json.dumps(blob, sort_keys=True, indent=1) + "\n")
 
 
-def run_control(cfg, out: Path, log, threads):
-    spec, obs, _ = _setup(cfg, count=cfg.get("modes"))
-    sched_spec = cfg["schedule"]
-    T = float(sched_spec["T"])
-    rho = float(sched_spec["rho"])
-    steps = int(sched_spec["steps"])
-    rng = np.random.default_rng(cfg["seed"])
-    u0 = build_field(spec, "u0", cfg.get("u0", {"kind": "random"}), rng)
-    v0_spec = cfg.get("v0", {"kind": "zero"})
-    v0 = None if v0_spec.get("kind") == "zero" else build_field(spec, "v0", v0_spec, rng)
-    D = float(cfg.get("cost_rate", 5e-4))
-    mode = cfg.get("mode", "impulsive")
+def run_control(plan: RunPlan, out: Path, log, threads):
+    spec, obs, p = plan.spectrum, plan.obs, plan.params
+    seq = p["schedule"]
+    T = seq.horizon
+    rng = np.random.default_rng(plan.seed)
+    u0 = build_field(spec, p["u0"], rng)
+    v0 = None if p["v0"]["kind"] == "zero" else build_field(spec, p["v0"], rng)
     checks = {}
-    summary = {"modes": spec.n_modes, "horizon": T, "rho": rho, "steps": steps,
-               "cost_rate": D, "mode": mode}
+    summary = {"modes": spec.n_modes, "horizon": T, "rho": seq.ratio, "steps": seq.times.size,
+               "cost_rate": p["cost_rate"], "mode": p["mode"]}
 
-    if mode == "impulsive":
-        seq = lr_schedule(T, rho, steps)
-        kwargs = {}
-        if "c_lambda" in cfg:
-            kwargs["c_lambda"] = float(cfg["c_lambda"])
-        sched = synthesize(spec, obs, seq, u0, v0, **kwargs)
+    if p["mode"] == "impulsive":
+        sched = synthesize(spec, obs, seq, u0, v0, c_lambda=p["c_lambda"])
         sim = simulate(spec, u0, sched, v0)
-        led = cost_report(sched, D)
+        led = cost_report(sched, p["cost_rate"])
         _export_schedule(sched, out / "schedule.json")
         traj_rows = [(sim.times[i], sim.phases[i],
                       float(np.linalg.norm(sim.state_coeffs[i])),
@@ -472,15 +490,10 @@ def run_control(cfg, out: Path, log, threads):
                 - sched.terminal_deficit) <= 1e-12 * max(1.0, sched.terminal_deficit))
         checks["moment_residuals"] = all(s.moment_residual <= 1e-6 for s in sched.steps)
     else:
-        slabs = int(cfg.get("time_slabs", 32))
         mask = np.zeros(obs.domain.n_cells_total, dtype=bool)
         mask[obs.cells] = True
-        st_mask = np.tile(mask, (slabs, 1))
-        kwargs = {}
-        if "c_lambda" in cfg:
-            kwargs["c_lambda"] = float(cfg["c_lambda"])
-        res = distributed_control(spec, st_mask, T, u0, v0, n_steps=steps, rho=rho,
-                                  **kwargs)
+        st_mask = np.tile(mask, (p["time_slabs"], 1))
+        res = distributed_control(spec, st_mask, seq, u0, v0, c_lambda=p["c_lambda"])
         rows = [(w.t_start, w.t_end, w.lambda_cutoff, w.slabs.size, w.sup_norm)
                 for w in res.windows]
         write_csv(out / "windows.csv",
@@ -496,13 +509,12 @@ def run_control(cfg, out: Path, log, threads):
     return summary, checks
 
 
-def run_double_check(cfg, out: Path, log, threads):
-    n_modes = int(cfg.get("modes", 10))
-    spec, _, (db, spec2) = _setup(cfg, count=n_modes)
+def run_double_check(plan: RunPlan, out: Path, log, threads):
+    spec, (db, spec2) = plan.spectrum, plan.doubled
     domain = spec.operator.domain
     rows = []
     worst_res, worst_dist = 0.0, 0.0
-    for k in range(n_modes):
+    for k in range(spec.n_modes):
         ext, res = extend_eigenfunction(db, spec.vectors[:, k], spec.eigenvalues[k],
                                         domain.bc)
         dist = float(np.abs(spec2.eigenvalues - spec.eigenvalues[k]).min())
@@ -513,7 +525,7 @@ def run_double_check(cfg, out: Path, log, threads):
               ["k", "eigenvalue", "extension_residual", "nearest_doubled_distance"], rows)
     log(f"extension residuals up to {worst_res:.3e}, "
         f"spectral inclusion distance up to {worst_dist:.3e}")
-    summary = {"modes": n_modes, "max_extension_residual": worst_res,
+    summary = {"modes": spec.n_modes, "max_extension_residual": worst_res,
                "max_inclusion_distance_rel": worst_dist,
                "interface_jump": db.interface_jump()}
     checks = {
@@ -522,7 +534,7 @@ def run_double_check(cfg, out: Path, log, threads):
         "interface_continuous": db.interface_jump() <= 1e-12,
     }
 
-    chart_params = _chart_params(cfg)
+    chart_params = plan.params["chart"]
     if chart_params:
         a_diag, s_max, n_s, z_extent, n_z = chart_params
         a_fn = (lambda y, z:
@@ -530,12 +542,10 @@ def run_double_check(cfg, out: Path, log, threads):
                                 np.shape(y) + (2, 2)).copy())
         chart = build_chart(a_fn, s_max, n_s, z_extent, n_z)
         diag = pseudo_geodesic_diag(chart)
-        crows = []
-        for i, s in enumerate(chart.s_grid):
-            for j, z in enumerate(chart.z_grid[:: max(1, chart.z_grid.size // 64)]):
-                jj = j * max(1, chart.z_grid.size // 64)
-                crows.append((s, z, chart.m[i, jj, 0], chart.m[i, jj, 1],
-                              chart.phi[i, jj, 0], chart.phi[i, jj, 1]))
+        stride = max(1, chart.z_grid.size // 64)
+        crows = [(s, chart.z_grid[j], *chart.m[i, j], *chart.phi[i, j])
+                 for i, s in enumerate(chart.s_grid)
+                 for j in range(0, chart.z_grid.size, stride)]
         write_csv(out / "chart.csv", ["s", "z", "m_y", "m_z", "phi_y", "phi_z"], crows)
         summary["chart"] = {
             "unit_normal_dev": diag.unit_normal_dev,
@@ -566,14 +576,14 @@ RUNNERS = {
 
 
 def run(cfg: dict, out_dir=None, threads=None, verbose=False):
-    """Validate and execute one experiment config.
-
-    Returns (summary, checks, out_dir); raises ConfigError on invalid input.
+    """Check and execute one experiment config; `threads` bounds the sweep
+    and batch workers (None: all cores). Returns (summary, checks, out_dir);
+    raises ConfigError on invalid input, before any eigensolve.
     """
-    validate_config(cfg)
-    exp = cfg["experiment"]
-    out = Path(os.environ.get("HEATLAB_OUT") or out_dir
-               or cfg.get("out") or f"heatlab-out/{exp}")
+    if threads is not None:
+        _integer("threads", threads, 1)
+    plan = _setup(cfg)
+    out = Path(os.environ.get("HEATLAB_OUT") or out_dir or plan.out)
     out.mkdir(parents=True, exist_ok=True)
     threads = threads or os.cpu_count() or 1
     lines = []
@@ -583,18 +593,12 @@ def run(cfg: dict, out_dir=None, threads=None, verbose=False):
         if verbose:
             print(msg)
 
-    log(f"experiment {exp} (seed {cfg['seed']}, threads {threads})")
-    summary, checks = RUNNERS[exp](cfg, out, log, threads)
+    log(f"experiment {plan.experiment} (seed {plan.seed}, threads {threads})")
+    summary, checks = RUNNERS[plan.experiment](plan, out, log, threads)
     checks = {k: bool(v) for k, v in checks.items()}
-    summary = {
-        "experiment": exp,
-        "artifact_version": _version,
-        "config_hash": config_hash(cfg),
-        "seed": cfg["seed"],
-        **summary,
-        "checks": checks,
-        "all_checks_pass": bool(all(checks.values())),
-    }
+    summary = {"experiment": plan.experiment, "artifact_version": _version,
+               "config_hash": plan.config_hash, "seed": plan.seed, **summary,
+               "checks": checks, "all_checks_pass": bool(all(checks.values()))}
     (out / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=1, default=float) + "\n")
     log("all invariant checks pass" if summary["all_checks_pass"]

@@ -12,7 +12,7 @@ import heatlab.experiments
 import heatlab.spectrum
 from heatlab.cli import main
 from heatlab.errors import ConfigError
-from heatlab.experiments import run, validate_config
+from heatlab.experiments import _setup, run
 
 INTERVAL = {"kind": "interval", "length": math.pi, "cells": 120, "bc": "dirichlet"}
 CONST = {"kind": "constant", "g": 1.0, "kappa": 1.0}
@@ -70,7 +70,7 @@ def test_missing_seed_with_random_initial_state(tmp_path):
            "modes": 8, "set": {"kind": "full"},
            "schedule": {"T": 1.0, "rho": 0.5, "steps": 3}}
     with pytest.raises(ConfigError) as err:
-        validate_config(cfg)
+        _setup(cfg)
     assert err.value.field == "seed"
 
 
@@ -91,7 +91,7 @@ def test_missing_seed_with_random_set(tmp_path):
            "set": {"kind": "random", "measure": 0.4},
            "lambda_grid": {"min": 1.5, "max": 6.5, "count": 6}}
     with pytest.raises(ConfigError) as err:
-        validate_config(cfg)
+        _setup(cfg)
     assert err.value.field == "seed"
 
 
@@ -114,6 +114,7 @@ CONTROL = {"experiment": "control", "domain": INTERVAL, "coefficients": CONST,
 DOUBLE = {"experiment": "double-check", "domain": dict(INTERVAL, cells=20), "coefficients": CONST,
           "seed": 0, "modes": 3,
           "chart": {"a_diag": [4.0, 1.0], "s_max": 0.04, "n_s": 4, "z_extent": 1.0, "n_z": 401}}
+SPECTRUM = {"experiment": "spectrum", "domain": INTERVAL, "coefficients": CONST, "seed": 0}
 INTERP = {"experiment": "interp-check", "domain": INTERVAL, "coefficients": CONST,
           "seed": 0, "set": {"kind": "interval", "from": 0.0, "to": 1.5708},
           "t": 0.5, "batch": 2}
@@ -122,6 +123,7 @@ INTERP = {"experiment": "interp-check", "domain": INTERVAL, "coefficients": CONS
 @pytest.mark.parametrize("cfg, field", [
     (dict(SWEEP, set={"kind": "blob"}), "set.kind"),
     (dict(SWEEP, norms=["sup"]), "norms"),
+    (dict(SWEEP, norms=["l3"]), "norms"),
     (dict(CONTROL, mode="pulsed"), "mode"),
     ({"experiment": "double-check", "seed": 0, "coefficients": CONST,
       "domain": {"kind": "rectangle", "lx": 1.0, "ly": 1.0, "nx": 4, "ny": 4,
@@ -136,10 +138,35 @@ INTERP = {"experiment": "interp-check", "domain": INTERVAL, "coefficients": CONS
     (dict(DOUBLE, chart=dict(DOUBLE["chart"], n_s=0)), "chart.n_s"),
     (dict(DOUBLE, chart=dict(DOUBLE["chart"], a_diag=[4.0])), "chart.a_diag"),
     (dict(DOUBLE, chart=dict(DOUBLE["chart"], a_diag=[-4.0, 1.0])), "chart.a_diag"),
-], ids=["unknown-set-kind", "sup-on-mask", "unknown-control-mode", "double-on-rectangle",
-        "s-above-t", "s-equals-t", "epsilon-above-one", "unknown-u0-kind",
+    (dict(INTERP, batch=0), "batch"),
+    (dict(CONTROL, schedule={"T": 1.0, "rho": 1.0, "steps": 3}), "schedule"),
+    (dict(CONTROL, schedule={"T": 1.0, "rho": 0.5, "steps": 1}), "schedule"),
+    (dict(CONTROL, schedule={"T": 0.0, "rho": 0.5, "steps": 3}), "schedule"),
+    (dict(CONTROL, cost_rate=0.0), "cost_rate"),
+    (dict(CONTROL, c_lambda=-1.0), "c_lambda"),
+    (dict(CONTROL, mode="distributed", time_slabs=0), "time_slabs"),
+    (dict(CONTROL, modes=0), "modes"),
+    (dict(CONTROL, modes=120), "modes"),       # 119 unknowns
+    (dict(DOUBLE, modes=20), "modes"),         # 19 unknowns
+    (dict(SPECTRUM, count=0), "count"),
+    (dict(SPECTRUM, count=120), "count"),
+    (dict(CONTROL, u0={"kind": "mode", "k": 9}), "u0.k"),
+    (dict(CONTROL, u0={"kind": "mode", "amplitude": "big"}), "u0.amplitude"),
+    (dict(INTERP, t="soon"), "t"),
+    (dict(SWEEP, set={"kind": "interval", "from": "a", "to": 1.0}), "set"),
+    (dict(SWEEP, domain=dict(INTERVAL, length="pi")), "domain"),
+    (dict(SWEEP, lambda_grid={"min": "a", "max": 3.0, "count": 5}), "lambda_grid"),
+    (dict(SPECTRUM, out=7), "out"),
+], ids=["unknown-set-kind", "sup-on-mask", "unknown-norm", "unknown-control-mode",
+        "double-on-rectangle", "s-above-t", "s-equals-t", "epsilon-above-one", "unknown-u0-kind",
         "unknown-v0-kind", "chart-s-max-zero", "chart-n-z-one", "chart-n-s-zero",
-        "chart-a-diag-short", "chart-a-diag-negative"])
+        "chart-a-diag-short", "chart-a-diag-negative", "batch-zero", "schedule-rho-one",
+        "schedule-one-step", "schedule-horizon-zero", "cost-rate-zero",
+        "c-lambda-negative", "time-slabs-zero", "control-modes-zero",
+        "control-modes-above-unknowns", "double-modes-above-unknowns",
+        "spectrum-count-zero", "spectrum-count-above-unknowns", "u0-mode-above-modes",
+        "u0-amplitude-not-a-number", "t-not-a-number", "set-bound-not-a-number",
+        "domain-length-not-a-number", "grid-min-not-a-number", "out-not-a-path"])
 def test_config_errors_raise_before_the_eigensolve(tmp_path, monkeypatch, cfg, field):
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("eigensolve reached on an invalid config")
@@ -187,6 +214,42 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(notjson)]) == 2
     interp = write_cfg(tmp_path, dict(INTERP, s=0.6), "interp.json")
     assert main(["run", str(interp), "--out", str(tmp_path / "o3")]) == 2
+    rho = write_cfg(tmp_path, dict(CONTROL, schedule={"T": 1.0, "rho": 1.5, "steps": 3}),
+                    "rho.json")
+    assert main(["run", str(rho), "--out", str(tmp_path / "o4")]) == 2
+    assert main(["run", str(good), "--out", str(tmp_path / "o5"), "--threads", "-1"]) == 2
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_rejected(tmp_path, threads):
+    with pytest.raises(ConfigError) as err:
+        run(dict(SWEEP), out_dir=tmp_path / "t", threads=threads)
+    assert err.value.field == "threads"
+
+
+def test_v0_without_kind_is_the_zero_field(tmp_path):
+    # no seed is needed: u0 is a mode and v0 defaults to zero, so nothing is drawn
+    cfg = {k: v for k, v in CONTROL.items() if k != "seed"}
+    cfg["u0"] = {"kind": "mode", "k": 2}
+    runs = [run(dict(cfg, v0=v0), out_dir=tmp_path / name)
+            for name, v0 in (("empty", {}), ("zero", {"kind": "zero"}))]
+    assert all(all(checks.values()) for _, checks, _ in runs)
+    for name in ("trajectory.csv", "ledger.csv", "schedule.json"):
+        assert (runs[0][2] / name).read_bytes() == (runs[1][2] / name).read_bytes()
+
+
+class EigensolveReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_shipped_configs_pass_setup(monkeypatch, path):
+    def reached(*args, **kwargs):
+        raise EigensolveReached
+    monkeypatch.setattr(heatlab.experiments, "compute_spectrum", reached)
+    with pytest.raises(EigensolveReached):
+        _setup(json.loads(path.read_text()))
 
 
 SQUARE_24 = {"kind": "rectangle", "lx": math.pi, "ly": math.pi, "nx": 24, "ny": 24,

@@ -193,7 +193,7 @@ def test_distributed_single_mode_two_point_oracle():
     spec = compute_spectrum(op, count=1)
     mask = np.ones((16, dom.n_cells_total), dtype=bool)
     u0 = 1.7 * spec.vectors[:, 0]
-    res = distributed_control(spec, mask, 1.0, u0, n_steps=2)
+    res = distributed_control(spec, mask, lr_schedule(1.0, 0.5, 2), u0)
     assert res.terminal_relative <= 1e-10
     # oracle: two-point boundary solve for the first window's constant source
     w0 = res.windows[0]
@@ -211,7 +211,7 @@ def test_distributed_half_interval(setup):
     mask = np.tile(interval_mask(dom, 0.0, np.pi / 2), (32, 1))
     rng = np.random.default_rng(9)
     u0 = spec.synthesize_values(rng.standard_normal(spec.n_modes))
-    res = distributed_control(spec, mask, 1.0, u0, n_steps=10)
+    res = distributed_control(spec, mask, lr_schedule(1.0, 0.5, 10), u0)
     assert res.terminal_relative <= 1e-6
     assert np.isfinite(res.sup_norm)
 
@@ -219,8 +219,8 @@ def test_distributed_half_interval(setup):
 def test_distributed_empty_mask(setup):
     dom, op, spec = setup
     with pytest.raises(ValueError):
-        distributed_control(spec, np.zeros((8, dom.n_cells_total), dtype=bool), 1.0,
-                            spec.vectors[:, 0])
+        distributed_control(spec, np.zeros((8, dom.n_cells_total), dtype=bool),
+                            lr_schedule(1.0, 0.5, 8), spec.vectors[:, 0])
 
 
 def test_cost_report_empty_and_single(setup):
@@ -262,7 +262,7 @@ def test_duality_cost_bounded_by_observability(setup):
     ratios = []
     for _ in range(5):
         u0 = spec.synthesize_values(rng.standard_normal(spec.n_modes))
-        res = distributed_control(spec, mask, 1.0, u0, n_steps=10)
+        res = distributed_control(spec, mask, lr_schedule(1.0, 0.5, 10), u0)
         rep = telescope_check(spec, obs, seq, u0, D=1.0)
         d0 = np.linalg.norm(spec.coefficients(u0))
         ratios.append(res.sup_norm / d0 / rep.c_instance)
