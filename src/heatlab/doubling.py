@@ -355,6 +355,6 @@ def extend_eigenfunction(doubled: DoubledSystem, eigvec: np.ndarray, lam_sq: flo
     ext = np.where(j < 0, parity, 1.0) * vals
 
     op2 = doubled.operator
-    r = op2.K_csr @ ext - lam_sq * (op2.w * ext)
+    r = op2.K @ ext - lam_sq * (op2.w * ext)
     residual = float(np.linalg.norm(r) / max(np.linalg.norm(ext), 1e-300))
     return ext, residual

@@ -252,7 +252,9 @@ class RunPlan:
 def _setup(cfg) -> RunPlan:
     """The one reader of a config. Reads, defaults and checks every field the
     family uses and works out the spectrum it needs (the top of the lambda
-    grid, `modes`, `count` or `lambda_max`); only then assembles and solves."""
+    grid, `modes`, `count` or `lambda_max`); only then assembles and solves.
+    A cutoff below the first eigenfrequency, which only the solve reveals,
+    is a ConfigError as well."""
     exp = _need(cfg, "experiment", str)
     if exp not in RUNNERS:
         raise ConfigError("experiment", f"must be one of {tuple(RUNNERS)}")
@@ -312,7 +314,17 @@ def _setup(cfg) -> RunPlan:
         p["norms"] = _norms(cfg, obs)
     if p.get("mode") == "distributed" and obs.kind != CELL_MASK:
         raise ConfigError("set", "distributed control needs a cell-mask set")
-    spectrum = compute_spectrum(assemble(domain, coeffs), lam_max=lam_max, count=count)
+    op = assemble(domain, coeffs)
+    try:
+        spectrum = compute_spectrum(op, lam_max=lam_max, count=count)
+    except ValueError as exc:   # `count` is checked, so only an empty band is left
+        if lam_max is None:
+            raise
+        raise ConfigError("lambda_max" if exp == "spectrum" else "lambda_grid",
+                          f"no eigenfrequency lies at or below {lam_max:.6g}") from exc
+    if exp == "constant-sweep" and p["lambda_grid"][0] < spectrum.frequencies[0]:
+        raise ConfigError("lambda_grid", f"the cutoff {p['lambda_grid'][0]:.6g} lies below the "
+                          f"first eigenfrequency {spectrum.frequencies[0]:.6g}")
     doubled = None
     if exp == "double-check":
         db = double_domain(domain, coeffs)
@@ -361,16 +373,23 @@ def run_constant_sweep(plan: RunPlan, out: Path, log, threads):
             return constant_l1(spec, obs, lam, seed=plan.seed).value
         return constant_sup(spec, obs, lam)
 
+    # Bands are nested prefixes of the spectrum, so a band is known by its
+    # size: each distinct band is solved once, at its lowest cutoff.
+    sizes = [spec.band(lam).size for lam in grid]
+    lowest = {}
+    for lam, k in zip(grid, sizes):
+        lowest.setdefault(k, lam)
     rows = []
     summary = {"set_kind": obs.kind, "measure": obs.measure, "fits": {}}
     checks = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         for nm in plan.params["norms"]:
-            consts = list(pool.map(lambda lam: one(nm, lam), grid))
+            by_size = dict(zip(lowest, pool.map(lambda lam: one(nm, lam), lowest.values())))
             if nm == "sup":
-                log(f"sup: {sum(c.lp_solved for c in consts)} LPs solved, "
-                    f"{sum(c.lp_pruned for c in consts)} pruned")
-                consts = [c.value for c in consts]
+                log(f"sup: {sum(c.lp_solved for c in by_size.values())} LPs solved, "
+                    f"{sum(c.lp_pruned for c in by_size.values())} pruned")
+                by_size = {k: c.value for k, c in by_size.items()}
+            consts = [by_size[k] for k in sizes]
             rows += [(nm, lam, c) for lam, c in zip(grid, consts)]
             sweep = ConstantSweep(grid, np.array(consts), nm)
             fit = fit_growth(sweep)
@@ -578,7 +597,8 @@ RUNNERS = {
 def run(cfg: dict, out_dir=None, threads=None, verbose=False):
     """Check and execute one experiment config; `threads` bounds the sweep
     and batch workers (None: all cores). Returns (summary, checks, out_dir);
-    raises ConfigError on invalid input, before any eigensolve.
+    raises ConfigError on invalid input, before any eigensolve except for a
+    spectral cutoff below the first eigenfrequency.
     """
     if threads is not None:
         _integer("threads", threads, 1)

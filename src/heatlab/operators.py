@@ -11,7 +11,6 @@ operator normalization is w^{-1} K.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -20,27 +19,30 @@ from .domain import CoefficientField, Domain
 from .errors import UnsupportedGeometryError
 
 
+class StiffnessMatrix(scipy.sparse.csr_matrix):
+    """CSR matrix whose `nbytes` is its stored bytes: data, indices and indptr."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Stiffness form K (symmetric PSD, unknowns only) and mass weights w.
 
-    K is dense; `K_csr` is its CSR view, which the eigensolver, the residual
-    checks and the parity extension multiply and factor with."""
+    K is sparse (CSR), with the stencil's few entries per row. The
+    eigensolver, the residual checks and the parity extension multiply and
+    factor it as it is; only the dense eigensolve densifies it."""
 
     domain: Domain
     coefficients: CoefficientField
-    K: np.ndarray
+    K: StiffnessMatrix
     w: np.ndarray
 
     @property
     def n(self) -> int:
         return self.K.shape[0]
-
-    @cached_property
-    def K_csr(self) -> scipy.sparse.csr_matrix:
-        """CSR copy of K, equal to it entry for entry, built on first use and
-        shared by every sparse product and factorization of this operator."""
-        return scipy.sparse.csr_matrix(self.K)
 
 
 def _edge_coefficient(coeffs: CoefficientField, a: np.ndarray, b: np.ndarray, axis: int):
@@ -63,23 +65,34 @@ def assemble(domain: Domain, coeffs: CoefficientField) -> DiscreteOperator:
         raise UnsupportedGeometryError(
             "2-D assembly supports diagonal metrics only (edge scheme carries no cross terms)")
 
-    K = np.zeros((domain.n_unknowns, domain.n_unknowns))
     inv = domain.node_to_unknown
+    triplets = []
     for axis, a, b, width in domain.edges():
         # coefficient * transverse dual width / h: the edge's share of the energy form
         c = _edge_coefficient(coeffs, a, b, axis) * width / domain.h[axis]
-        _accumulate(K, inv[a], inv[b], c)
+        triplets += _edge_triplets(inv[a], inv[b], c)
+    rows, cols, vals = (np.concatenate(t) for t in zip(*triplets))
 
     w = coeffs.kappa[domain.unknown_nodes] * domain.dual_volumes()
-    return DiscreteOperator(domain, coeffs, K, w)
+    return DiscreteOperator(domain, coeffs, _csr(rows, cols, vals, domain.n_unknowns), w)
 
 
-def _accumulate(K, ia, ib, c):
-    """Add c*(u_b - u_a)^2 edge terms; endpoints mapped to -1 are eliminated."""
+def _edge_triplets(ia, ib, c):
+    """(row, col, value) triplets of the c*(u_b - u_a)^2 edge terms; endpoints
+    mapped to -1 are eliminated."""
     ma, mb = ia >= 0, ib >= 0
-    np.add.at(K, (ia[ma], ia[ma]), c[ma])
-    np.add.at(K, (ib[mb], ib[mb]), c[mb])
     m = ma & mb
-    np.add.at(K, (ia[m], ib[m]), -c[m])
-    np.add.at(K, (ib[m], ia[m]), -c[m])
+    return [(ia[ma], ia[ma], c[ma]), (ib[mb], ib[mb], c[mb]),
+            (ia[m], ib[m], -c[m]), (ib[m], ia[m], -c[m])]
+
+
+def _csr(rows, cols, vals, n) -> StiffnessMatrix:
+    """n x n CSR matrix with duplicate (row, col) triplets summed in the
+    order given, one after another, so every entry is the same float a
+    sequential accumulation into a dense array gives."""
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    data = np.zeros(keys.size)
+    np.add.at(data, slot, vals)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return StiffnessMatrix((data, keys % n, indptr), shape=(n, n))
 

@@ -1,10 +1,13 @@
 """Eigenpairs of the discrete operator, spectral projectors, heat semigroup,
 the sinh-in-time elliptic lift, and spectral-asymptotics diagnostics.
 
-The generalized problem K e = lambda^2 (w * e) is solved densely after
-symmetrizing by w^{-1/2}, or, for a low band of a large operator, by
-shift-invert Lanczos whose completeness is certified by Sylvester inertia
-counts. Eigenvectors are orthonormal in the kappa-weighted inner product
+The generalized problem K e = lambda^2 (w * e) has a sparse (CSR) K. A low
+band of a large operator is solved from K as it is, by shift-invert Lanczos
+whose completeness is certified by Sylvester inertia counts (sparse
+factorizations of K - s W). The complete spectrum, small operators and wide
+bands are solved densely: that path alone densifies K, symmetrizes by
+w^{-1/2} and calls LAPACK. Residual checks multiply with the sparse K.
+Eigenvectors are orthonormal in the kappa-weighted inner product
 <u, v>_w = sum w_i u_i v_i. Frequencies are lambda_k = sqrt of the
 eigenvalues, ascending.
 """
@@ -73,7 +76,7 @@ class Spectrum:
         """Orthonormality and generalized-eigen residual diagnostics."""
         G = self.vectors.T @ (self.weights[:, None] * self.vectors)
         ortho = float(np.abs(G - np.eye(self.n_modes)).max())
-        R = self.operator.K_csr @ self.vectors - (self.weights[:, None] * self.vectors) * self.eigenvalues
+        R = self.operator.K @ self.vectors - (self.weights[:, None] * self.vectors) * self.eigenvalues
         res = float(np.max(np.linalg.norm(R, axis=0) /
                            np.maximum(np.linalg.norm(self.vectors, axis=0), 1e-300)))
         asc = bool(np.all(np.diff(self.frequencies) >= -1e-12))
@@ -142,7 +145,7 @@ def _band_solve(op: DiscreteOperator, lam_max: float | None, count: int | None):
     inertia-certified; None when the dense solve should run instead."""
     if op.n < _BAND_MIN_UNKNOWNS:
         return None
-    K = op.K_csr
+    K = op.K
     W = scipy.sparse.diags(op.w)
     counts = ()
     if lam_max is not None:
@@ -175,9 +178,9 @@ def _band_solve(op: DiscreteOperator, lam_max: float | None, count: int | None):
 
 
 def _dense_solve(op: DiscreteOperator):
-    """All eigenpairs, from the w^{-1/2}-symmetrized matrix."""
+    """All eigenpairs, from the w^{-1/2}-symmetrized matrix, densified here."""
     w_isqrt = 1.0 / np.sqrt(op.w)
-    A = (op.K * w_isqrt[:, None]) * w_isqrt[None, :]
+    A = (op.K.toarray() * w_isqrt[:, None]) * w_isqrt[None, :]
     lam2, Y = scipy.linalg.eigh(0.5 * (A + A.T))
     return lam2, w_isqrt[:, None] * Y
 
@@ -263,7 +266,7 @@ def lift_residual(spectrum: Spectrum, u: np.ndarray, t_grid: np.ndarray) -> floa
     if not np.allclose(dt, dt[0], rtol=1e-10, atol=0):
         raise ValueError("lift residual expects a uniform time grid")
     dt = dt[0]
-    K, w = spectrum.operator.K_csr, spectrum.weights
+    K, w = spectrum.operator.K, spectrum.weights
     worst = 0.0
     for i in range(1, t_grid.size - 1):
         d2t = (u[i + 1] - 2 * u[i] + u[i - 1]) / dt ** 2

@@ -218,6 +218,30 @@ def test_cli_exit_codes(tmp_path):
                     "rho.json")
     assert main(["run", str(rho), "--out", str(tmp_path / "o4")]) == 2
     assert main(["run", str(good), "--out", str(tmp_path / "o5"), "--threads", "-1"]) == 2
+    for i, cfg in enumerate(EMPTY_BANDS):
+        empty = write_cfg(tmp_path, cfg, f"empty{i}.json")
+        assert main(["run", str(empty), "--out", str(tmp_path / f"e{i}")]) == 2
+
+
+# Cutoffs below the first eigenfrequency (1 on the interval, sqrt(2) on the
+# square): every one, on the band path (841 unknowns) and the dense path, and
+# only the lowest one of a sweep.
+EMPTY_BANDS = [
+    dict(SPECTRUM, domain={"kind": "rectangle", "lx": math.pi, "ly": math.pi, "nx": 30,
+                           "ny": 30, "bc": "dirichlet"}, lambda_max=0.5),
+    dict(SPECTRUM, lambda_max=0.5),
+    dict(SWEEP, lambda_grid=[0.2, 0.3, 0.4, 0.5, 0.6]),
+    dict(SWEEP, lambda_grid=[0.5, 1.5, 2.5, 3.5]),
+]
+
+
+@pytest.mark.parametrize("cfg, field", zip(EMPTY_BANDS, ["lambda_max", "lambda_max",
+                                                         "lambda_grid", "lambda_grid"]),
+                         ids=["spectrum-band", "spectrum-dense", "sweep-all", "sweep-lowest"])
+def test_empty_band_is_a_config_error(tmp_path, cfg, field):
+    with pytest.raises(ConfigError) as err:
+        run(dict(cfg), out_dir=tmp_path / "empty")
+    assert err.value.field == field
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -311,6 +335,37 @@ def test_sup_sweep_logs_lp_counts(tmp_path):
     solved, pruned = (int(w) for w in line.replace(",", "").split() if w.isdigit())
     assert solved + pruned == 59 * 5
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("set_, norms", [
+    ({"kind": "interval", "from": 0.0, "to": 1.5}, ["l2", "l1"]),
+    ({"kind": "cantor", "ratio": 0.3, "levels": 3}, ["sup"]),
+], ids=["mask", "cloud"])
+def test_sweep_solves_each_band_once(tmp_path, monkeypatch, set_, norms):
+    # frequencies near 1, 2, 3, 4: the six cutoffs hold 1, 1, 2, 2, 3 and 3 modes
+    cfg = {"experiment": "constant-sweep", "domain": dict(INTERVAL, cells=60),
+           "coefficients": CONST, "seed": 0, "set": set_,
+           "lambda_grid": [1.5, 1.8, 2.5, 2.7, 3.5, 3.9], "norms": norms}
+    plan = _setup(dict(cfg))
+    grid, spec = plan.params["lambda_grid"], plan.spectrum
+    constants = {"l2": heatlab.experiments.constant_l2, "l1": heatlab.experiments.constant_l1,
+                 "sup": heatlab.experiments.constant_sup}
+    kwargs = {"l1": {"seed": plan.seed}}
+    loop = [(nm, lam, constants[nm](spec, plan.obs, lam, **kwargs.get(nm, {})))
+            for nm in norms for lam in grid]
+    heatlab.experiments.write_csv(tmp_path / "loop.csv", ["norm", "lambda", "constant"],
+                                  [(nm, lam, getattr(c, "value", c)) for nm, lam, c in loop])
+
+    calls = []
+    for nm, fn in constants.items():
+        def counted(spec, obs, lam, *args, _fn=fn, _nm=nm, **kwargs):
+            calls.append((_nm, spec.band(lam).size))
+            return _fn(spec, obs, lam, *args, **kwargs)
+        monkeypatch.setattr(heatlab.experiments, f"constant_{nm}", counted)
+    _, checks, out = run(dict(cfg), out_dir=tmp_path / "sweep", threads=2)
+    assert all(checks.values())
+    assert sorted(calls) == [(nm, k) for nm in sorted(norms) for k in (1, 2, 3)]
+    assert (out / "sweep.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 def test_double_check_run(tmp_path):

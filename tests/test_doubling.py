@@ -207,7 +207,7 @@ def test_double_constant_matches_plain_laplacian():
     db = double_domain(dom, constant_coefficients(dom))
     plain = assemble(build_interval(2.0, 60, DIRICHLET),
                      constant_coefficients(build_interval(2.0, 60, DIRICHLET)))
-    assert np.allclose(db.operator.K, plain.K, atol=1e-12)
+    assert np.allclose(db.operator.K.toarray(), plain.K.toarray(), atol=1e-12)
     assert np.allclose(db.operator.w, plain.w, atol=1e-14)
 
 

@@ -1,6 +1,7 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-import scipy.sparse
 
 from heatlab import (
     DIRICHLET,
@@ -12,6 +13,7 @@ from heatlab import (
     constant_coefficients,
     random_lipschitz_coefficients,
 )
+from heatlab import operators
 from heatlab.errors import UnsupportedGeometryError
 
 
@@ -24,7 +26,7 @@ def test_unit_coefficient_stencil():
     dom, op = unit_interval_op(8)
     h = dom.h[0]
     # operator normalization reproduces the (2, -1, -1)/h^2 stencil
-    A = op.K / op.w[:, None]
+    A = op.K.toarray() / op.w[:, None]
     assert A[3, 3] == pytest.approx(2 / h**2, rel=1e-12)
     assert A[3, 4] == pytest.approx(-1 / h**2, rel=1e-12)
     assert op.w[0] == pytest.approx(h, rel=1e-12)
@@ -53,33 +55,55 @@ def test_dirichlet_positive_definite():
     dom = build_interval(1.0, 50, DIRICHLET)
     cf = random_lipschitz_coefficients(dom, 1.0, 1.0, seed=3)
     op = assemble(dom, cf)
-    np.linalg.cholesky(op.K)   # raises LinAlgError unless K is positive definite
+    np.linalg.cholesky(op.K.toarray())   # raises LinAlgError unless K is positive definite
 
 
+def dense_stiffness(dom, cf):
+    """Oracle: the assembly's edge coefficients accumulated edge by edge into a
+    dense N x N array with np.add.at, eliminated endpoints skipped. (The
+    coefficients themselves are checked by the node-pair loop below.)"""
+    K = np.zeros((dom.n_unknowns, dom.n_unknowns))
+    for axis, a, b, width in dom.edges():
+        c = operators._edge_coefficient(cf, a, b, axis) * width / dom.h[axis]
+        ia, ib = dom.node_to_unknown[a], dom.node_to_unknown[b]
+        ma, mb = ia >= 0, ib >= 0
+        m = ma & mb
+        np.add.at(K, (ia[ma], ia[ma]), c[ma])
+        np.add.at(K, (ib[mb], ib[mb]), c[mb])
+        np.add.at(K, (ia[m], ib[m]), -c[m])
+        np.add.at(K, (ib[m], ia[m]), -c[m])
+    return K
+
+
+@pytest.mark.parametrize("lipschitz", [False, True], ids=["constant", "lipschitz"])
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
-@pytest.mark.parametrize("dom_of", [lambda bc: build_interval(1.0, 30, bc),
-                                    lambda bc: build_rectangle(1.0, 1.0, 24, 24, bc)],
-                         ids=["interval", "square"])
-def test_csr_view_equals_k_and_is_built_once(dom_of, bc, monkeypatch):
+@pytest.mark.parametrize("dom_of", [lambda bc: build_interval(1.3, 57, bc),
+                                    lambda bc: build_rectangle(1.4, 0.6, 23, 17, bc)],
+                         ids=["interval", "rectangle"])
+def test_sparse_stiffness_equals_dense_accumulation(dom_of, bc, lipschitz):
     dom = dom_of(bc)
-    op = assemble(dom, random_lipschitz_coefficients(dom, 1.0, 1.0, seed=4))
-    to_csr = scipy.sparse.csr_matrix
-    conversions = []
+    cf = (random_lipschitz_coefficients(dom, 0.8, 0.6, seed=4) if lipschitz
+          else constant_coefficients(dom))
+    op = assemble(dom, cf)
+    K = dense_stiffness(dom, cf)
+    assert op.K.format == "csr" and op.K.shape == K.shape
+    assert op.K.nnz == np.count_nonzero(K)
+    assert np.array_equal(op.K.toarray(), K)   # bit for bit
+    assert op.K.nbytes == op.K.data.nbytes + op.K.indices.nbytes + op.K.indptr.nbytes
 
-    def counted(arg, *args, **kwargs):
-        if isinstance(arg, np.ndarray):
-            conversions.append(arg)
-        return to_csr(arg, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse, "csr_matrix", counted)
-    # on the square (529 and 625 unknowns) a 5-mode request takes the band
-    # path, whose Lanczos solve and inertia counts use the view as well
-    spec = compute_spectrum(op, count=5)
-    spec.validate()
-    assert op.K_csr is op.K_csr
-    assert len(conversions) == 1 and conversions[0] is op.K
-    dense = op.K_csr.toarray()
-    assert dense.dtype == op.K.dtype and np.array_equal(dense, op.K)
+def test_band_spectrum_of_100x100_square_stays_sparse():
+    # a dense 9,801 x 9,801 K alone would take 733 MiB
+    dom = build_rectangle(np.pi, np.pi, 100, 100, DIRICHLET)
+    cf = random_lipschitz_coefficients(dom, 0.5, 0.5, seed=4)
+    tracemalloc.start()
+    try:
+        spec = compute_spectrum(assemble(dom, cf), lam_max=6.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.n_modes >= 20
+    assert peak < 32 * 2**20, peak
 
 
 def test_apply_constant_neumann_zero():
@@ -144,7 +168,7 @@ def test_2d_lipschitz_stiffness_against_node_pair_loop():
             K[j, j] += c
             K[i, j] -= c
             K[j, i] -= c
-    assert np.allclose(op.K, K, rtol=1e-12, atol=1e-12 * np.abs(K).max())
+    assert np.allclose(op.K.toarray(), K, rtol=1e-12, atol=1e-12 * np.abs(K).max())
 
 
 def test_offdiagonal_metric_rejected_in_2d():

@@ -81,3 +81,18 @@ def test_tracer_sees_every_runner_and_owner_and_restores(tmp_path):
         now = vars(mod)
         changed = [attr for attr, val in before[mod.__name__].items() if now.get(attr) is not val]
         assert not changed, (mod.__name__, changed)
+
+
+
+def test_k_bytes_counts_the_csr_storage():
+    dom = heatlab.build_rectangle(1.0, 1.0, 30, 30, "dirichlet")
+    cf = heatlab.random_lipschitz_coefficients(dom, 0.5, 0.5, seed=1)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        op = heatlab.operators.assemble(dom, cf)
+    finally:
+        tracer.uninstall()
+    counted = [n for (_, name), n in tracer.counts.items() if name == "operators.k_bytes"]
+    K = op.K
+    assert counted == [K.data.nbytes + K.indices.nbytes + K.indptr.nbytes]
