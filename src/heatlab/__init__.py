@@ -11,7 +11,6 @@ from .domain import (
     coefficients_from_tables,
     constant_coefficients,
     load_coefficients_csv,
-    make_coefficients,
     random_lipschitz_coefficients,
 )
 from .operators import DiscreteOperator, assemble
@@ -42,7 +41,6 @@ from .obsets import (
     set_to_json,
 )
 from .inequality import (
-    ConstantSweep,
     GrowthFit,
     TimeSequence,
     constant_l1,

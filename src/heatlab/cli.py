@@ -1,9 +1,9 @@
 """Command-line entry point: `heatlab run <config.json> [--out DIR]
 [--threads N] [--verbose]`.
 
-Exit codes: 0 when every invoked invariant check passes, 1 when a check
-fails, 2 on configuration or input errors. The HEATLAB_OUT environment
-variable overrides the output directory.
+`--out` overrides the config's `out` directory; `--threads` bounds the
+constant-sweep workers. Exit codes: 0 when every invoked invariant check
+passes, 1 when a check fails, 2 on configuration or input errors.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def main(argv=None) -> int:
     runp.add_argument("config", help="path to the experiment JSON config")
     runp.add_argument("--out", default=None, help="output directory")
     runp.add_argument("--threads", type=int, default=None,
-                      help="worker threads for sweeps (default: all cores)")
+                      help="worker threads for constant sweeps (default: all cores)")
     runp.add_argument("--verbose", action="store_true", help="echo the run log")
     args = parser.parse_args(argv)
 

@@ -136,15 +136,13 @@ def step_control(spectrum: Spectrum, obs: ObservationSet, lam_max: float,
     return _solve_step(spectrum, obs, band, -coeffs[band], time)
 
 
-def observable_cutoff(spectrum: Spectrum, obs: ObservationSet,
-                      lam_max: float | None = None) -> float:
+def observable_cutoff(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> float:
     """Largest frequency cutoff whose moment system stays numerically solvable:
     restricted-Gram minimum eigenvalue above DEFAULT_GRAM_FLOOR for masks,
     singular value ratio above DEFAULT_COND_FLOOR for clouds. The scan stops
     early at the first failing band and never looks past `lam_max`."""
     freqs = spectrum.frequencies
-    n_scan = spectrum.n_modes if lam_max is None else int(np.sum(freqs <= lam_max))
-    n_scan = max(n_scan, 1)
+    n_scan = max(int(np.sum(freqs <= lam_max)), 1)
     if obs.kind == CELL_MASK:
         V = spectrum.vectors
         solvable = lambda k: np.linalg.eigvalsh(obs.gram(V[:, :k]))[0] >= DEFAULT_GRAM_FLOOR

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -168,8 +167,8 @@ class CoefficientField:
     measured_lip_g: float
     measured_lip_kappa: float
 
-    def is_diagonal(self, tol: float = 1e-12) -> bool:
-        return bool(np.abs(self.g[:, 0, 1:]).max(initial=0.0) <= tol)
+    def is_diagonal(self) -> bool:
+        return bool(np.abs(self.g[:, 0, 1:]).max(initial=0.0) <= 1e-12)
 
 
 def _max_quotients(domain: Domain, g: np.ndarray, kappa: np.ndarray):
@@ -300,22 +299,3 @@ def load_coefficients_csv(domain: Domain, path, lip_g=None, lip_kappa=None) -> C
     if not seen.all():
         raise ValueError(f"coefficient CSV is missing {np.count_nonzero(~seen)} node rows")
     return _finalize(domain, g, kappa, lip_g, lip_kappa)
-
-
-def make_coefficients(domain: Domain, spec: Mapping) -> CoefficientField:
-    """Build a coefficient field from a declarative spec.
-
-    Kinds: constant {g, kappa}; piecewise_linear {lip_g, lip_kappa, seed,
-    g_base, kappa_base}; sampled {g, kappa, lip_g, lip_kappa}.
-    """
-    kind = spec.get("kind")
-    if kind == "constant":
-        return constant_coefficients(domain, spec.get("g", 1.0), spec.get("kappa", 1.0))
-    if kind == "piecewise_linear":
-        return random_lipschitz_coefficients(
-            domain, spec["lip_g"], spec["lip_kappa"], spec["seed"],
-            spec.get("g_base", 1.0), spec.get("kappa_base", 1.0))
-    if kind == "sampled":
-        return coefficients_from_tables(domain, spec["g"], spec["kappa"],
-                                        spec.get("lip_g"), spec.get("lip_kappa"))
-    raise ValueError(f"unknown coefficient spec kind {kind!r}")

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CoefficientField, Domain, build_interval, build_rectangle, coefficients_from_tables
-from .errors import DegenerateChartError, UnsupportedGeometryError
+from .domain import (DIRICHLET, CoefficientField, Domain, build_interval, build_rectangle,
+                     coefficients_from_tables)
+from .errors import DegenerateChartError
 from .operators import DiscreteOperator, assemble
 
 
@@ -61,25 +62,26 @@ def poisson_kernel(s: float, z: np.ndarray) -> np.ndarray:
     return (1.0 / math.pi) * s / (s * s + z * z)
 
 
-def kernel_mass(s: float, dz: float, window: int = 2000) -> float:
+def kernel_mass(s: float, dz: float) -> float:
     """Mass of the tail-truncated kernel quadrature at spacing dz: a direct
-    lattice sum near the peak plus the integral of the remaining ring up to
-    the 1e-6-tail radius."""
+    lattice sum over 2000 spacings on each side of the peak plus the integral
+    of the remaining ring up to the 1e-6-tail radius."""
     if s <= 0:
         raise ValueError("kernel mass needs s > 0")
-    j = np.arange(-window, window + 1)
+    j = np.arange(-2000, 2001)
     direct = float(poisson_kernel(s, j * dz).sum() * dz)
-    r_direct = window * dz
+    r_direct = j[-1] * dz
     r_tail = s * math.tan(math.pi / 2 * (1 - TAIL_MASS))
     if r_tail > r_direct:
         direct += (2 / math.pi) * (math.atan(r_tail / s) - math.atan(r_direct / s))
     return direct
 
 
-def tangential_kernel_l1(s: float, dz: float, which: str, window: int = 4000) -> float:
-    """Discrete L1 mass of s d_z P_s ("k2") or s |D_z| P_s ("k3"); both stay
-    near 2/pi uniformly in s, which is what bounds the smoothed field."""
-    j = np.arange(-window, window + 1)
+def tangential_kernel_l1(s: float, dz: float, which: str) -> float:
+    """Discrete L1 mass, over 4000 spacings on each side of the peak, of
+    s d_z P_s ("k2") or s |D_z| P_s ("k3"); both stay near 2/pi uniformly in
+    s, which is what bounds the smoothed field."""
+    j = np.arange(-4000, 4001)
     z = j * dz
     if which == "k2":
         vals = s * (-2.0 / math.pi) * s * z / (s * s + z * z) ** 2
@@ -295,13 +297,10 @@ class DoubledSystem:
         return float(max(dk, dg))
 
 
-def double_domain(domain: Domain, coeffs: CoefficientField, side: str = "x0") -> DoubledSystem:
+def double_domain(domain: Domain, coeffs: CoefficientField) -> DoubledSystem:
     """Reflect the domain and its coefficients across the x = 0 boundary side
     and assemble the glued operator (outer boundary keeps the original
     condition, the interface gets none)."""
-    if side != "x0":
-        raise UnsupportedGeometryError(
-            f"doubling is supported across the flat x = 0 side only, not {side!r}")
     n = domain.n_cells[0]
     if domain.dimension == 1:
         doubled = build_interval(2 * domain.lengths[0], 2 * n, domain.bc)
@@ -322,21 +321,18 @@ def double_domain(domain: Domain, coeffs: CoefficientField, side: str = "x0") ->
 
 
 def extend_eigenfunction(doubled: DoubledSystem, eigvec: np.ndarray, lam_sq: float,
-                         bc: str, parity: str | None = None):
+                         parity: str | None = None):
     """Parity extension of a one-sided eigenvector onto the double: odd for
-    Dirichlet data, even for Neumann. Returns the extended vector over the
-    doubled unknowns and the generalized-eigen residual
-    ||K ext - lam_sq (w * ext)|| / ||ext||.
+    Dirichlet data, even for Neumann (the source domain's condition). Returns
+    the extended vector over the doubled unknowns and the generalized-eigen
+    residual ||K ext - lam_sq (w * ext)|| / ||ext||.
 
     `parity` overrides the boundary-condition default ("odd"/"even"); a
     mismatched parity leaves an O(1) interface residual, which is the signal
     the returned residual reports."""
     src_dom = doubled.source_domain
-    if bc != src_dom.bc:
-        raise ValueError(f"boundary condition {bc!r} does not match the doubled system "
-                         f"({src_dom.bc!r})")
     if parity is None:
-        parity = "odd" if bc == "dirichlet" else "even"
+        parity = "odd" if src_dom.bc == DIRICHLET else "even"
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     parity = -1.0 if parity == "odd" else 1.0

@@ -33,13 +33,14 @@ from .domain import (
     NEUMANN,
     build_interval,
     build_rectangle,
+    coefficients_from_tables,
+    constant_coefficients,
     load_coefficients_csv,
-    make_coefficients,
+    random_lipschitz_coefficients,
 )
 from .doubling import build_chart, double_domain, extend_eigenfunction, pseudo_geodesic_diag
 from .errors import ConfigError, InsufficientDataError
 from .inequality import (
-    ConstantSweep,
     constant_l1,
     constant_l2,
     constant_sup,
@@ -127,16 +128,50 @@ def build_domain(spec) -> object:
 
 
 def build_coefficients(domain, spec, seed):
-    spec = dict(spec)
-    if spec.get("kind") == "piecewise_linear":
-        spec.setdefault("seed", seed)
+    """The field a `coefficients` spec describes, from the typed constructor
+    of its kind; the one reader of that spec. Every numeric field is checked
+    before the field is built, and a piecewise-linear field is drawn with the
+    run's seed."""
+
+    def need(name):
+        if name not in spec:
+            raise ConfigError(f"coefficients.{name}", "required field is missing")
+        return spec[name]
+
+    def number(name):
+        return _number(f"coefficients.{name}", spec.get(name, 1.0))
+
+    def bound(name, measured=False):
+        """A declared Lipschitz bound >= 0, or None (the measured quotient)
+        when `measured` lets the field be absent."""
+        if measured and spec.get(name) is None:
+            return None
+        v = _number(f"coefficients.{name}", need(name), positive=False)
+        if v < 0:
+            raise ConfigError(f"coefficients.{name}", "must be a number >= 0")
+        return v
+
+    kind = spec.get("kind")
+    if "seed" in spec:
+        raise ConfigError("coefficients.seed", "the run's seed draws the coefficients")
     try:
-        if spec.get("kind") == "sampled" and "csv" in spec:
-            return load_coefficients_csv(domain, spec["csv"],
-                                         spec.get("lip_g"), spec.get("lip_kappa"))
-        return make_coefficients(domain, spec)
-    except (ValueError, KeyError, OSError) as exc:
+        if kind == "constant":
+            g = spec.get("g", 1.0)
+            return constant_coefficients(domain, g if isinstance(g, list) else number("g"),
+                                         number("kappa"))
+        if kind == "piecewise_linear":
+            return random_lipschitz_coefficients(domain, bound("lip_g"), bound("lip_kappa"),
+                                                 seed, number("g_base"), number("kappa_base"))
+        if kind == "sampled":
+            lips = bound("lip_g", True), bound("lip_kappa", True)
+            if "csv" not in spec:
+                return coefficients_from_tables(domain, need("g"), need("kappa"), *lips)
+            if not isinstance(spec["csv"], str):
+                raise ConfigError("coefficients.csv", "must be a path string")
+            return load_coefficients_csv(domain, spec["csv"], *lips)
+    except (ValueError, TypeError, OSError) as exc:
         raise ConfigError("coefficients", str(exc)) from exc
+    raise ConfigError("coefficients.kind", f"unknown kind {kind!r}")
 
 
 def build_set(domain, spec, seed, kappa):
@@ -391,8 +426,7 @@ def run_constant_sweep(plan: RunPlan, out: Path, log, threads):
                 by_size = {k: c.value for k, c in by_size.items()}
             consts = [by_size[k] for k in sizes]
             rows += [(nm, lam, c) for lam, c in zip(grid, consts)]
-            sweep = ConstantSweep(grid, np.array(consts), nm)
-            fit = fit_growth(sweep)
+            fit = fit_growth(grid, consts)
             summary["fits"][nm] = {
                 "prefactor": fit.prefactor, "rate": fit.rate,
                 "r_squared": fit.r_squared, "n_points": fit.n_points,
@@ -416,11 +450,7 @@ def run_interp_check(plan: RunPlan, out: Path, log, threads):
     fields = [spec.synthesize_values(rng.standard_normal(spec.n_modes))
               for _ in range(batch)]
 
-    def one(f):
-        return interpolation_check(spec, obs, f, s, t, eps)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        reports = list(pool.map(one, fields))
+    reports = [interpolation_check(spec, obs, f, s, t, eps) for f in fields]
     rows = [(i, r.lhs, r.obs_norm, r.s_norm, r.n_required, r.lambda_opt_closed,
              r.lambda_opt_numeric, r.minimizer_identity_dev, r.split_margin,
              r.holds) for i, r in enumerate(reports)]
@@ -534,8 +564,7 @@ def run_double_check(plan: RunPlan, out: Path, log, threads):
     rows = []
     worst_res, worst_dist = 0.0, 0.0
     for k in range(spec.n_modes):
-        ext, res = extend_eigenfunction(db, spec.vectors[:, k], spec.eigenvalues[k],
-                                        domain.bc)
+        ext, res = extend_eigenfunction(db, spec.vectors[:, k], spec.eigenvalues[k])
         dist = float(np.abs(spec2.eigenvalues - spec.eigenvalues[k]).min())
         rows.append((k + 1, spec.eigenvalues[k], res, dist))
         worst_res = max(worst_res, res)
@@ -595,15 +624,16 @@ RUNNERS = {
 
 
 def run(cfg: dict, out_dir=None, threads=None, verbose=False):
-    """Check and execute one experiment config; `threads` bounds the sweep
-    and batch workers (None: all cores). Returns (summary, checks, out_dir);
+    """Check and execute one experiment config into `out_dir` (None: the
+    config's `out`); `threads` bounds the constant-sweep workers (None: all
+    cores). Returns (summary, checks, out_dir);
     raises ConfigError on invalid input, before any eigensolve except for a
     spectral cutoff below the first eigenfrequency.
     """
     if threads is not None:
         _integer("threads", threads, 1)
     plan = _setup(cfg)
-    out = Path(os.environ.get("HEATLAB_OUT") or out_dir or plan.out)
+    out = Path(out_dir or plan.out)
     out.mkdir(parents=True, exist_ok=True)
     threads = threads or os.cpu_count() or 1
     lines = []

@@ -23,28 +23,14 @@ from .spectrum import Spectrum
 
 GRAM_SINGULAR = 1e-14   # below this the restricted Gram is reported unobservable
 LP_FEASIBILITY_TOL = 1e-7   # HiGHS primal/dual feasibility tolerance: slack on pruned bounds
+_L1_RESTARTS = 16       # IRLS starts: the Gram minimizer plus seeded random ones
+_L1_MAX_ITER = 200      # IRLS iterations per start
+_L1_TOL = 1e-8          # relative change of the L1 norm that ends a start
 
 
 # ---------------------------------------------------------------------------
-# sweep containers
+# growth fits
 # ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class ConstantSweep:
-    """(Lambda, C(Lambda)) pairs for one norm pair, ready for growth fitting."""
-
-    lambdas: np.ndarray
-    constants: np.ndarray
-    norm_pair: str   # "l2", "l1", or "sup"
-
-    def __post_init__(self):
-        self.lambdas = np.asarray(self.lambdas, dtype=float)
-        self.constants = np.asarray(self.constants, dtype=float)
-        if self.lambdas.shape != self.constants.shape:
-            raise ValueError("lambda grid and constants differ in length")
-        if np.any(np.diff(self.lambdas) <= 0):
-            raise ValueError("lambda grid must be strictly increasing")
-
 
 @dataclass(frozen=True)
 class GrowthFit:
@@ -55,14 +41,19 @@ class GrowthFit:
     degenerate: bool = False
 
 
-def fit_growth(sweep: ConstantSweep) -> GrowthFit:
-    """Least squares of log C(Lambda) against Lambda over the finite entries."""
-    finite = np.isfinite(sweep.constants) & (sweep.constants > 0)
+def fit_growth(lambdas, constants) -> GrowthFit:
+    """Least squares of log C(Lambda) against Lambda over the finite entries
+    of a sweep: the constants C(Lambda) at the cutoffs `lambdas`."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    constants = np.asarray(constants, dtype=float)
+    if lambdas.shape != constants.shape:
+        raise ValueError("lambda grid and constants differ in length")
+    finite = np.isfinite(constants) & (constants > 0)
     if np.count_nonzero(finite) < 5:
         raise InsufficientDataError(
             f"growth fit needs at least 5 finite sweep points, have {np.count_nonzero(finite)}")
-    x = sweep.lambdas[finite]
-    y = np.log(sweep.constants[finite])
+    x = lambdas[finite]
+    y = np.log(constants[finite])
     if float(y.max() - y.min()) < 1e-12:
         return GrowthFit(float(np.exp(y.mean())), 0.0, float("nan"), x.size, degenerate=True)
     A = np.vstack([np.ones_like(x), x]).T
@@ -76,21 +67,11 @@ def fit_growth(sweep: ConstantSweep) -> GrowthFit:
 # restricted norms
 # ---------------------------------------------------------------------------
 
-def restricted_l1(obs: ObservationSet, values: np.ndarray) -> float:
-    if obs.kind != CELL_MASK:
-        raise ValueError("L1 restriction needs a cell mask")
-    return float(np.sum(obs.node_weights * np.abs(values)))
-
-
-def restricted_sup(obs: ObservationSet, values: np.ndarray) -> float:
-    return float(np.abs(obs.rows(values)).max())
-
-
 def observation_norm(obs: ObservationSet, values: np.ndarray) -> float:
     """L1 over a cell mask, sup over a point cloud."""
     if obs.kind == CELL_MASK:
-        return restricted_l1(obs, values)
-    return restricted_sup(obs, values)
+        return float(np.sum(obs.node_weights * np.abs(values)))
+    return float(np.abs(obs.rows(values)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +106,6 @@ class L1Constant:
 
 
 def constant_l1(spectrum: Spectrum, obs: ObservationSet, lam_max: float,
-                restarts: int = 16, max_iter: int = 200, tol: float = 1e-8,
                 seed: int = 0) -> L1Constant:
     """Estimate of sup ||phi||_2 / ||phi 1_E||_1 over the band by iteratively
     reweighted minimization of the restricted L1 norm on the coefficient
@@ -147,7 +127,7 @@ def constant_l1(spectrum: Spectrum, obs: ObservationSet, lam_max: float,
         return float(np.sum(wE * np.abs(V @ u)))
 
     rng = np.random.default_rng(seed)
-    starts = [u_floor] + [rng.standard_normal(band.size) for _ in range(restarts - 1)]
+    starts = [u_floor] + [rng.standard_normal(band.size) for _ in range(_L1_RESTARTS - 1)]
     best_u, best_val, any_converged = None, -float("inf"), False
     for u0 in starts:
         u = u0 / np.linalg.norm(u0)
@@ -155,14 +135,14 @@ def constant_l1(spectrum: Spectrum, obs: ObservationSet, lam_max: float,
         if prev <= 1e-300:
             return L1Constant(float("inf"), u, V @ u, True, floor)
         converged = False
-        for _ in range(max_iter):
+        for _ in range(_L1_MAX_ITER):
             weights = wE / np.maximum(np.abs(V @ u), 1e-8)
             M = (V.T * weights) @ V
             u_new = np.linalg.eigh(M)[1][:, 0]
             cur = l1_of(u_new)
             if cur <= 1e-300:
                 return L1Constant(float("inf"), u_new, V @ u_new, True, floor)
-            done = abs(cur - prev) <= tol * max(prev, 1e-300)
+            done = abs(cur - prev) <= _L1_TOL * max(prev, 1e-300)
             u, prev = u_new, cur
             if done:
                 converged = True
@@ -368,10 +348,10 @@ class TimeSequence:
         return self.horizon - np.concatenate([[0.0], self.times])
 
 
-def validate_lr_ratio(seq: TimeSequence, tol: float = 1e-9):
+def validate_lr_ratio(seq: TimeSequence):
     s = seq.dual_times()
     gaps = -np.diff(s)           # s_n - s_(n+1) > 0
-    if np.any(gaps[1:] < seq.ratio * gaps[:-1] * (1 - tol)):
+    if np.any(gaps[1:] < seq.ratio * gaps[:-1] * (1 - 1e-9)):
         raise ValueError("sequence gaps shrink faster than the declared ratio allows")
 
 
@@ -451,13 +431,14 @@ def _interval_union_measure(intervals, lo, hi) -> float:
     return total
 
 
-def phung_wang_times(J, z: float, anchor: float, depth: int = 8,
-                     candidates: int = 200) -> TimeSequence:
+def phung_wang_times(J, z: float, anchor: float, depth: int = 8) -> TimeSequence:
     """Geometric approach times to a density point of J.
 
     Searches l_1 in (anchor, T) with l_(m+1) - anchor = z^-m (l_1 - anchor)
     such that |J meets (l_(m+1), l_m)| >= (l_m - l_(m+1)) / 3 for every step
-    up to `depth`; returns the times and the measured intersection ratios.
+    up to `depth`, trying 200 candidates geometrically spaced from T down to
+    1e-6 (T - anchor) above the anchor; returns the times and the measured
+    intersection ratios.
     """
     if not z > 1:
         raise ValueError(f"ratio z must exceed 1, got {z}")
@@ -469,7 +450,7 @@ def phung_wang_times(J, z: float, anchor: float, depth: int = 8,
         raise ValueError("anchor must lie in the closure of J below its top")
 
     tried = 0
-    for frac in np.geomspace(1.0, 1e-6, candidates):
+    for frac in np.geomspace(1.0, 1e-6, 200):
         l1 = anchor + (T - anchor) * frac
         tried += 1
         times = anchor + (l1 - anchor) * float(z) ** -np.arange(depth + 2, dtype=float)

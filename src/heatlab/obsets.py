@@ -225,11 +225,7 @@ def cantor_set(domain: Domain, ratio: float, levels: int,
         coords = np.stack([xx.ravel(), yy.ravel()], axis=-1)
         exponent = float(1.0 + s_nat)
 
-    if domain.dimension == 1:
-        declared = _cantor_mass_bound(ratio, b - a, s_nat)
-    else:
-        t0, t1 = meta["transverse"]
-        declared = ((b - a) * (1.0 - 2.0 * ratio)) ** s_nat * (t1 - t0) / 2.0 ** (1.0 + s_nat)
+    declared = _cantor_mass_bound(meta, s_nat)
     nodes, snap = _snap_to_unknowns(domain, coords)
     margin = float(domain.boundary_distance(domain.node_coords(nodes)).min())
     return ObservationSet(POINT_CLOUD, domain, 0.0, points=nodes, point_coords=coords,
@@ -237,7 +233,7 @@ def cantor_set(domain: Domain, ratio: float, levels: int,
                           boundary_margin=margin, meta=meta)
 
 
-def point_cloud(domain: Domain, coords, exponent=None, content=None) -> ObservationSet:
+def point_cloud(domain: Domain, coords) -> ObservationSet:
     """Explicit point cloud snapped to the nearest unknown nodes."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.shape[0] == 0:
@@ -245,8 +241,7 @@ def point_cloud(domain: Domain, coords, exponent=None, content=None) -> Observat
     nodes, snap = _snap_to_unknowns(domain, coords)
     margin = float(domain.boundary_distance(domain.node_coords(nodes)).min())
     return ObservationSet(POINT_CLOUD, domain, 0.0, points=nodes, point_coords=coords,
-                          snap_distance=snap, exponent=exponent, content=content,
-                          boundary_margin=margin)
+                          snap_distance=snap, boundary_margin=margin)
 
 
 def set_to_json(obs: ObservationSet) -> dict:
@@ -350,43 +345,46 @@ def content_bound_geometry(boxes, points, s: float, dim: int, depth: int) -> flo
     return cost / (2 ** dim * 4.0 ** s)
 
 
-def _cantor_mass_bound(ratio: float, scale: float, s: float) -> float:
-    # Uniform Cantor measure gives mu(I) <= (len(I)/scale)^s (1-2r)^{-s}: an
-    # interval shorter than the level-k gap meets one level-k interval only.
-    # Balls of radius rho have length 2 rho, hence sum rho^s >= (scale(1-2r)/2)^s.
-    return (scale * (1.0 - 2.0 * ratio) / 2.0) ** s
+def _cantor_mass_bound(meta: dict, s: float) -> float:
+    """Mass-distribution content bound of the Cantor construction in `meta`
+    at its Cantor exponent s: of the 1-D Cantor set at exponent s, or of its
+    product with the transverse segment at exponent 1 + s."""
+    a, b = meta["placement"]
+    scale, ratio = b - a, meta["ratio"]
+    if "transverse" not in meta:
+        # Uniform Cantor measure gives mu(I) <= (len(I)/scale)^s (1-2r)^{-s}: an
+        # interval shorter than the level-k gap meets one level-k interval only.
+        # Balls of radius rho have length 2 rho, hence sum rho^s >= (scale(1-2r)/2)^s.
+        return (scale * (1.0 - 2.0 * ratio) / 2.0) ** s
+    t0, t1 = meta["transverse"]
+    # Product measure: nu(B(rho)) <= mu_c(I_{2rho}) * 2rho/Lt, so
+    # sum rho^{1+s} >= (scale(1-2r))^s Lt / 2^{1+s}.
+    return (scale * (1.0 - 2.0 * ratio)) ** s * (t1 - t0) / 2.0 ** (1.0 + s)
 
 
-def hausdorff_content(obs: ObservationSet, s: float, depth: int | None = None) -> float:
+def hausdorff_content(obs: ObservationSet, s: float) -> float:
     """Certified lower bound on the Hausdorff content at exponent s.
 
     Cantor clouds at their natural exponent use the mass-distribution bound;
     cell masks at s = d use measure / unit-ball volume; anything else falls
-    back to the dyadic-cover program (depth-capped, resolution-limited for
-    finite clouds).
+    back to the dyadic-cover program, to depth 12 in 1-D and 8 in 2-D
+    (resolution-limited for finite clouds).
     """
     d = obs.domain.dimension
     if not (0 < s <= d):
         raise ValueError(f"exponent must lie in (0, {d}], got {s}")
-    if depth is None:
-        depth = 12 if d == 1 else 8
 
     if obs.kind == CELL_MASK and abs(s - d) < 1e-12:
         return obs.measure / _UNIT_BALL_VOLUME[d]
 
     meta = obs.meta
     if "natural_exponent" in meta:
-        a, b = meta["placement"]
         s_c = meta["natural_exponent"]
-        r = meta["ratio"]
         if d == 1 and abs(s - s_c) <= 1e-9:
-            return _cantor_mass_bound(r, b - a, s)
+            return _cantor_mass_bound(meta, s)
         if d == 2 and abs(s - (1.0 + s_c)) <= 1e-9:
-            t0, t1 = meta["transverse"]
-            # Product measure: nu(B(rho)) <= mu_c(I_{2rho}) * 2rho/Lt, so
-            # sum rho^s >= (scale(1-2r))^{s_c} Lt / 2^{1+s_c}.
-            return ((b - a) * (1.0 - 2.0 * r)) ** s_c * (t1 - t0) / 2.0 ** (1.0 + s_c)
+            return _cantor_mass_bound(meta, s_c)
 
     boxes = obs.boxes()
     points = obs.point_coords if boxes is None else None
-    return content_bound_geometry(boxes, points, s, d, depth)
+    return content_bound_geometry(boxes, points, s, d, 12 if d == 1 else 8)

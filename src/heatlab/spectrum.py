@@ -275,28 +275,31 @@ def lift_residual(spectrum: Spectrum, u: np.ndarray, t_grid: np.ndarray) -> floa
     return worst
 
 
+_MIN_FIT_MODES = 30   # resolved modes the asymptotic slope fits need
+
+
 def _log_fit(x: np.ndarray, y: np.ndarray) -> float:
     A = np.vstack([np.ones_like(x), x]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     return float(coef[1])
 
 
-def weyl_exponent(spectrum: Spectrum, min_modes: int = 30) -> float:
+def weyl_exponent(spectrum: Spectrum) -> float:
     """Least-squares slope of log lambda_k vs log k over the resolved band."""
     band = spectrum.resolved_band()
-    if band.size < min_modes:
+    if band.size < _MIN_FIT_MODES:
         raise InsufficientDataError(
-            f"{band.size} resolved modes, need at least {min_modes} for the growth fit")
+            f"{band.size} resolved modes, need at least {_MIN_FIT_MODES} for the growth fit")
     k = np.arange(1, band.size + 1, dtype=float)
     return _log_fit(np.log(k), np.log(spectrum.frequencies[band]))
 
 
-def eigen_sup_exponent(spectrum: Spectrum, min_modes: int = 30) -> float:
+def eigen_sup_exponent(spectrum: Spectrum) -> float:
     """Slope of log ||e_k||_inf vs log(1 + lambda_k) over the resolved band."""
     band = spectrum.resolved_band()
-    if band.size < min_modes:
+    if band.size < _MIN_FIT_MODES:
         raise InsufficientDataError(
-            f"{band.size} resolved modes, need at least {min_modes} for the sup-norm fit")
+            f"{band.size} resolved modes, need at least {_MIN_FIT_MODES} for the sup-norm fit")
     sup = np.abs(spectrum.vectors[:, band]).max(axis=0)
     return _log_fit(np.log1p(spectrum.frequencies[band]), np.log(sup))
 

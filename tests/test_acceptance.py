@@ -12,7 +12,6 @@ import pytest
 from heatlab import (
     DIRICHLET,
     NEUMANN,
-    ConstantSweep,
     assemble,
     build_interval,
     cantor_set,
@@ -91,13 +90,13 @@ def test_criterion_02_growth_law(workhorse):
         hmax = max(dom.h)
         assert grid[-1] * hmax <= 1.0   # inside the resolved band
         consts = np.array([constant_l2(spec, obs, lam) for lam in grid])
-        fit = fit_growth(ConstantSweep(grid, consts, "l2"))
+        fit = fit_growth(grid, consts)
         assert fit.r_squared >= 0.9
         assert fit.rate > 0
         full = full_domain_set(dom, kappa)
         cfull = np.array([constant_l2(spec, full, lam) for lam in grid])
         assert np.abs(cfull - 1).max() <= 1e-9
-        ffit = fit_growth(ConstantSweep(grid, cfull, "l2"))
+        ffit = fit_growth(grid, cfull)
         assert ffit.degenerate and ffit.rate == 0.0
         assert time.perf_counter() - t0 < 30.0
 
@@ -109,7 +108,7 @@ def test_criterion_03_sup_constants_on_cantor_cloud(workhorse):
         grid = np.linspace(1.5, 12.5, 10)
         consts = np.array([constant_sup(spec, cloud, lam).value for lam in grid])
         assert np.all(np.isfinite(consts))
-        fit = fit_growth(ConstantSweep(grid, consts, "sup"))
+        fit = fit_growth(grid, consts)
         assert fit.r_squared >= 0.85
         # brute-force agreement where three modes are active
         lam3 = spec.frequencies[2] + 0.1
@@ -251,7 +250,7 @@ def test_criterion_09_doubling_orders():
                 db = double_domain(dom, constant_coefficients(dom))
                 x = dom.unknown_coords()[:, 0]
                 e = mode_fn(2 * x)
-                _, r = extend_eigenfunction(db, e, 4.0, bc)
+                _, r = extend_eigenfunction(db, e, 4.0)
                 res.append(r)
                 hs.append(dom.h[0])
             order = np.polyfit(np.log(hs), np.log(res), 1)[0]

@@ -118,6 +118,15 @@ SPECTRUM = {"experiment": "spectrum", "domain": INTERVAL, "coefficients": CONST,
 INTERP = {"experiment": "interp-check", "domain": INTERVAL, "coefficients": CONST,
           "seed": 0, "set": {"kind": "interval", "from": 0.0, "to": 1.5708},
           "t": 0.5, "batch": 2}
+LIPSCHITZ = {"kind": "piecewise_linear", "lip_g": 0.5, "lip_kappa": 0.5}
+# coefficient faults that used to end in a traceback (exit 1)
+BAD_COEFFICIENTS = [
+    dict(LIPSCHITZ, lip_g="x"),
+    dict(LIPSCHITZ, lip_g=None),
+    dict(LIPSCHITZ, g_base="a"),
+    dict(LIPSCHITZ, kappa_base=None),
+    dict(LIPSCHITZ, seed="x"),
+]
 
 
 @pytest.mark.parametrize("cfg, field", [
@@ -157,6 +166,14 @@ INTERP = {"experiment": "interp-check", "domain": INTERVAL, "coefficients": CONS
     (dict(SWEEP, domain=dict(INTERVAL, length="pi")), "domain"),
     (dict(SWEEP, lambda_grid={"min": "a", "max": 3.0, "count": 5}), "lambda_grid"),
     (dict(SPECTRUM, out=7), "out"),
+    *((dict(SPECTRUM, coefficients=c), f"coefficients.{f}") for c, f in zip(
+        BAD_COEFFICIENTS, ["lip_g", "lip_g", "g_base", "kappa_base", "seed"])),
+    (dict(SPECTRUM, coefficients={"kind": "piecewise_linear", "lip_kappa": 0.5}),
+     "coefficients.lip_g"),
+    (dict(SPECTRUM, coefficients=dict(LIPSCHITZ, lip_kappa=-1.0)), "coefficients.lip_kappa"),
+    (dict(SPECTRUM, coefficients=dict(CONST, kappa="a")), "coefficients.kappa"),
+    (dict(SPECTRUM, coefficients={"kind": "sampled", "csv": 7}), "coefficients.csv"),
+    (dict(SPECTRUM, coefficients={"kind": "mystery"}), "coefficients.kind"),
 ], ids=["unknown-set-kind", "sup-on-mask", "unknown-norm", "unknown-control-mode",
         "double-on-rectangle", "s-above-t", "s-equals-t", "epsilon-above-one", "unknown-u0-kind",
         "unknown-v0-kind", "chart-s-max-zero", "chart-n-z-one", "chart-n-s-zero",
@@ -166,7 +183,10 @@ INTERP = {"experiment": "interp-check", "domain": INTERVAL, "coefficients": CONS
         "control-modes-above-unknowns", "double-modes-above-unknowns",
         "spectrum-count-zero", "spectrum-count-above-unknowns", "u0-mode-above-modes",
         "u0-amplitude-not-a-number", "t-not-a-number", "set-bound-not-a-number",
-        "domain-length-not-a-number", "grid-min-not-a-number", "out-not-a-path"])
+        "domain-length-not-a-number", "grid-min-not-a-number", "out-not-a-path",
+        "lip-g-not-a-number", "lip-g-null", "g-base-not-a-number", "kappa-base-null",
+        "coefficient-seed-set", "lip-g-missing", "lip-kappa-negative",
+        "kappa-not-a-number", "csv-not-a-path", "unknown-coefficient-kind"])
 def test_config_errors_raise_before_the_eigensolve(tmp_path, monkeypatch, cfg, field):
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("eigensolve reached on an invalid config")
@@ -221,6 +241,9 @@ def test_cli_exit_codes(tmp_path):
     for i, cfg in enumerate(EMPTY_BANDS):
         empty = write_cfg(tmp_path, cfg, f"empty{i}.json")
         assert main(["run", str(empty), "--out", str(tmp_path / f"e{i}")]) == 2
+    for i, coeffs in enumerate(BAD_COEFFICIENTS):
+        bad = write_cfg(tmp_path, dict(SPECTRUM, coefficients=coeffs), f"coeffs{i}.json")
+        assert main(["run", str(bad), "--out", str(tmp_path / f"c{i}")]) == 2
 
 
 # Cutoffs below the first eigenfrequency (1 on the interval, sqrt(2) on the
@@ -403,13 +426,3 @@ def test_distributed_control_run(tmp_path):
     assert all(checks.values())
     assert summary["terminal_relative"] <= 1e-6
     assert (out / "windows.csv").exists()
-
-
-def test_env_var_overrides_out(tmp_path, monkeypatch):
-    target = tmp_path / "envout"
-    monkeypatch.setenv("HEATLAB_OUT", str(target))
-    cfg = {"experiment": "spectrum", "domain": INTERVAL, "coefficients": CONST,
-           "seed": 0}
-    _, _, out = run(cfg, out_dir=tmp_path / "ignored")
-    assert out == target
-    assert (target / "summary.json").exists()

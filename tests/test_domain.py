@@ -9,10 +9,10 @@ from heatlab import (
     constant_coefficients,
     coefficients_from_tables,
     load_coefficients_csv,
-    make_coefficients,
     random_lipschitz_coefficients,
 )
-from heatlab.errors import CoefficientRegularityError
+from heatlab.errors import CoefficientRegularityError, ConfigError
+from heatlab.experiments import build_coefficients
 
 
 def test_interval_dirichlet_unknowns():
@@ -107,15 +107,18 @@ def test_non_spd_metric_rejected():
         coefficients_from_tables(dom, g, np.ones(dom.n_nodes_total))
 
 
-def test_make_coefficients_dispatch():
+def test_build_coefficients_dispatch():
     dom = build_interval(1.0, 8, DIRICHLET)
-    cf = make_coefficients(dom, {"kind": "constant", "g": 1.5, "kappa": 0.5})
+    cf = build_coefficients(dom, {"kind": "constant", "g": 1.5, "kappa": 0.5}, seed=0)
     assert cf.kappa[0] == 0.5
-    cf2 = make_coefficients(dom, {"kind": "piecewise_linear", "lip_g": 1.0,
-                                  "lip_kappa": 1.0, "seed": 11})
+    cf2 = build_coefficients(dom, {"kind": "piecewise_linear", "lip_g": 1.0,
+                                   "lip_kappa": 1.0}, seed=11)
     assert cf2.measured_lip_kappa <= 1.0 + 1e-12
-    with pytest.raises(ValueError):
-        make_coefficients(dom, {"kind": "mystery"})
+    ref = random_lipschitz_coefficients(dom, 1.0, 1.0, seed=11)
+    assert np.array_equal(cf2.kappa, ref.kappa) and np.array_equal(cf2.g, ref.g)
+    with pytest.raises(ConfigError) as err:
+        build_coefficients(dom, {"kind": "mystery"}, seed=0)
+    assert err.value.field == "coefficients.kind"
 
 
 def test_csv_roundtrip(tmp_path):

@@ -19,7 +19,7 @@ from heatlab import (
     smooth_normal,
 )
 from heatlab.doubling import default_cutoff, poisson_kernel, tangential_kernel_l1
-from heatlab.errors import DegenerateChartError, UnsupportedGeometryError
+from heatlab.errors import DegenerateChartError
 
 
 def test_normal_identity_metric():
@@ -211,20 +211,13 @@ def test_double_constant_matches_plain_laplacian():
     assert np.allclose(db.operator.w, plain.w, atol=1e-14)
 
 
-def test_double_unsupported_side():
-    dom = build_interval(1.0, 10, DIRICHLET)
-    with pytest.raises(UnsupportedGeometryError):
-        double_domain(dom, constant_coefficients(dom), side="curved")
-
-
 def test_extend_discrete_pairs_exact():
     dom = build_interval(np.pi, 60, DIRICHLET)
     cf = random_lipschitz_coefficients(dom, 1.0, 1.0, seed=2)
     spec = compute_spectrum(assemble(dom, cf), count=6)
     db = double_domain(dom, cf)
     for k in range(6):
-        ext, res = extend_eigenfunction(db, spec.vectors[:, k], spec.eigenvalues[k],
-                                        DIRICHLET)
+        ext, res = extend_eigenfunction(db, spec.vectors[:, k], spec.eigenvalues[k])
         assert res <= 1e-9
 
 
@@ -233,7 +226,7 @@ def test_extend_neumann_constant_mode():
     cf = constant_coefficients(dom)
     db = double_domain(dom, cf)
     e0 = np.ones(dom.n_unknowns)
-    ext, res = extend_eigenfunction(db, e0, 0.0, NEUMANN)
+    ext, res = extend_eigenfunction(db, e0, 0.0)
     assert res <= 1e-12
     assert np.allclose(ext, ext[0])
 
@@ -250,7 +243,7 @@ def test_extend_continuum_samples_second_order():
             db = double_domain(dom, cf)
             x = dom.unknown_coords()[:, 0]
             e = np.sin(k * x)
-            _, r = extend_eigenfunction(db, e, float(k * k), DIRICHLET)
+            _, r = extend_eigenfunction(db, e, float(k * k))
             res.append(r)
             hs.append(dom.h[0])
         orders.append(np.polyfit(np.log(hs), np.log(res), 1)[0])
@@ -262,19 +255,11 @@ def test_extend_wrong_parity_flagged():
     cf = constant_coefficients(dom)
     spec = compute_spectrum(assemble(dom, cf), count=1)
     db = double_domain(dom, cf)
-    _, res_ok = extend_eigenfunction(db, spec.vectors[:, 0], spec.eigenvalues[0],
-                                     DIRICHLET)
+    _, res_ok = extend_eigenfunction(db, spec.vectors[:, 0], spec.eigenvalues[0])
     _, res_bad = extend_eigenfunction(db, spec.vectors[:, 0], spec.eigenvalues[0],
-                                      DIRICHLET, parity="even")
+                                      parity="even")
     assert res_ok <= 1e-9
     assert res_bad >= 1e3 * max(res_ok, 1e-12)
-
-
-def test_extend_bc_mismatch():
-    dom = build_interval(1.0, 20, DIRICHLET)
-    db = double_domain(dom, constant_coefficients(dom))
-    with pytest.raises(ValueError):
-        extend_eigenfunction(db, np.ones(dom.n_unknowns), 1.0, NEUMANN)
 
 
 def test_spectral_inclusion_first_modes():
@@ -298,5 +283,5 @@ def test_double_rectangle_flat_side(bc):
     assert db.interface_jump() <= 1e-12
     spec = compute_spectrum(assemble(dom, cf), count=3)
     for k in range(3):
-        ext, res = extend_eigenfunction(db, spec.vectors[:, k], spec.eigenvalues[k], bc)
+        ext, res = extend_eigenfunction(db, spec.vectors[:, k], spec.eigenvalues[k])
         assert res <= 1e-9

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from heatlab import (
     DIRICHLET,
     NEUMANN,
-    ConstantSweep,
     assemble,
     build_interval,
     cantor_set,
@@ -285,15 +284,13 @@ def test_constants_nondecreasing_in_cutoff(problem, extra, data):
 
 
 def test_fit_growth_flat_degenerate():
-    sweep = ConstantSweep(np.arange(1.0, 9.0), np.ones(8), "l2")
-    fit = fit_growth(sweep)
+    fit = fit_growth(np.arange(1.0, 9.0), np.ones(8))
     assert fit.degenerate and fit.rate == 0.0 and np.isnan(fit.r_squared)
 
 
 def test_fit_growth_recovers_slope():
     lam = np.linspace(1, 10, 12)
-    sweep = ConstantSweep(lam, 2.0 * np.exp(0.8 * lam), "l2")
-    fit = fit_growth(sweep)
+    fit = fit_growth(lam, 2.0 * np.exp(0.8 * lam))
     assert fit.rate == pytest.approx(0.8, rel=1e-9)
     assert fit.prefactor == pytest.approx(2.0, rel=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -301,7 +298,12 @@ def test_fit_growth_recovers_slope():
 
 def test_fit_growth_insufficient():
     with pytest.raises(InsufficientDataError):
-        fit_growth(ConstantSweep(np.arange(1.0, 4.0), np.ones(3), "l2"))
+        fit_growth(np.arange(1.0, 4.0), np.ones(3))
+
+
+def test_fit_growth_lengths_differ():
+    with pytest.raises(ValueError, match="differ in length"):
+        fit_growth(np.arange(1.0, 9.0), np.ones(7))
 
 
 def test_interpolation_single_mode_full_domain(setup):

@@ -86,6 +86,7 @@ def test_middle_thirds_mass_bound_and_dyadic_oracle():
     obs = cantor_set(dom, 1 / 3, 6)
     s = obs.exponent
     bound = hausdorff_content(obs, s)
+    assert bound == obs.content      # the declared content is the certified bound
     assert bound >= 0.25
     # oracle: brute-force dyadic covers at three depths upper-bound the content
     boxes = obs.boxes()
@@ -146,7 +147,7 @@ def test_2d_cantor_product_exponent():
     dom = build_rectangle(1.0, 1.0, 81, 20, DIRICHLET)
     obs = cantor_set(dom, 1 / 3, 3, placement=(0.0, 1.0), transverse=(0.25, 0.75))
     assert obs.exponent == pytest.approx(1 + np.log(2) / np.log(3), rel=1e-12)
-    assert hausdorff_content(obs, obs.exponent) > 0
+    assert hausdorff_content(obs, obs.exponent) == obs.content > 0
     assert obs.points.size > 0
 
 
