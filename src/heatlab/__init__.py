@@ -18,17 +18,12 @@ from .spectrum import (
     Spectrum,
     compute_spectrum,
     eigen_sup_exponent,
-    elliptic_lift,
-    heat_propagate,
-    lift_residual,
-    project_low,
     sup_embedding_constant,
     weyl_exponent,
 )
 from .obsets import (
     ObservationSet,
     box_mask,
-    cantor_ratio_for_exponent,
     cantor_set,
     content_bound_geometry,
     dyadic_cover_cost,
@@ -38,7 +33,6 @@ from .obsets import (
     point_cloud,
     random_set,
     set_from_mask,
-    set_to_json,
 )
 from .inequality import (
     GrowthFit,
@@ -61,7 +55,6 @@ from .control import (
     lr_schedule,
     observable_cutoff,
     simulate,
-    step_control,
     synthesize,
 )
 from .doubling import (

@@ -118,24 +118,6 @@ def _solve_step(spectrum: Spectrum, obs: ObservationSet, band: np.ndarray,
     return StepControl(time, kind, obs, payload, tv, lam_cut, rel, gmin, jump)
 
 
-def step_control(spectrum: Spectrum, obs: ObservationSet, lam_max: float,
-                 deficit, time: float = 0.0) -> StepControl:
-    """Impulse cancelling a low-band deficit exactly.
-
-    `deficit` must lie in the band lambda_k <= lam_max; the payload has the
-    least kappa-weighted L2 norm among all fields on the set matching the
-    required moments (atoms minimize the Euclidean weight norm).
-    """
-    band = spectrum.band(lam_max)
-    if band.size == 0:
-        raise ValueError(f"no modes below cutoff {lam_max}")
-    coeffs = spectrum.coefficients(deficit)
-    high = np.delete(coeffs, band)
-    if high.size and np.abs(high).max() > 1e-8 * max(np.abs(coeffs).max(), 1e-300):
-        raise ValueError("deficit must be supported on the band below the cutoff")
-    return _solve_step(spectrum, obs, band, -coeffs[band], time)
-
-
 def observable_cutoff(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> float:
     """Largest frequency cutoff whose moment system stays numerically solvable:
     restricted-Gram minimum eigenvalue above DEFAULT_GRAM_FLOOR for masks,

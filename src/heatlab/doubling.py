@@ -77,21 +77,6 @@ def kernel_mass(s: float, dz: float) -> float:
     return direct
 
 
-def tangential_kernel_l1(s: float, dz: float, which: str) -> float:
-    """Discrete L1 mass, over 4000 spacings on each side of the peak, of
-    s d_z P_s ("k2") or s |D_z| P_s ("k3"); both stay near 2/pi uniformly in
-    s, which is what bounds the smoothed field."""
-    j = np.arange(-4000, 4001)
-    z = j * dz
-    if which == "k2":
-        vals = s * (-2.0 / math.pi) * s * z / (s * s + z * z) ** 2
-    elif which == "k3":
-        vals = s * (1.0 / math.pi) * (z * z - s * s) / (s * s + z * z) ** 2
-    else:
-        raise ValueError("which must be 'k2' or 'k3'")
-    return float(np.abs(vals).sum() * dz)
-
-
 def smooth_normal(n0: np.ndarray, chi: np.ndarray, s_grid: np.ndarray,
                   z_grid: np.ndarray) -> np.ndarray:
     """Harmonic extension m(s, z) of the cutoff normal field chi * n0 into the
@@ -320,22 +305,13 @@ def double_domain(domain: Domain, coeffs: CoefficientField) -> DoubledSystem:
     return DoubledSystem(domain, coeffs, doubled, coeffs2, op2, n)
 
 
-def extend_eigenfunction(doubled: DoubledSystem, eigvec: np.ndarray, lam_sq: float,
-                         parity: str | None = None):
+def extend_eigenfunction(doubled: DoubledSystem, eigvec: np.ndarray, lam_sq: float):
     """Parity extension of a one-sided eigenvector onto the double: odd for
     Dirichlet data, even for Neumann (the source domain's condition). Returns
     the extended vector over the doubled unknowns and the generalized-eigen
-    residual ||K ext - lam_sq (w * ext)|| / ||ext||.
-
-    `parity` overrides the boundary-condition default ("odd"/"even"); a
-    mismatched parity leaves an O(1) interface residual, which is the signal
-    the returned residual reports."""
+    residual ||K ext - lam_sq (w * ext)|| / ||ext||."""
     src_dom = doubled.source_domain
-    if parity is None:
-        parity = "odd" if src_dom.bc == DIRICHLET else "even"
-    if parity not in ("odd", "even"):
-        raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    parity = -1.0 if parity == "odd" else 1.0
+    parity = -1.0 if src_dom.bc == DIRICHLET else 1.0
     eigvec = np.asarray(eigvec, dtype=float)
     if eigvec.shape != (src_dom.n_unknowns,):
         raise ValueError(f"eigenvector has shape {eigvec.shape}, "

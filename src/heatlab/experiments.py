@@ -85,12 +85,14 @@ def write_csv(path: Path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _need(cfg, field, kind=None):
+def _need(cfg, field, kind=None, prefix=""):
+    """cfg[field], checked to be present and of `kind`; faults name
+    prefix + field."""
     if field not in cfg:
-        raise ConfigError(field, "required field is missing")
+        raise ConfigError(prefix + field, "required field is missing")
     v = cfg[field]
     if kind is not None and not isinstance(v, kind):
-        raise ConfigError(field, f"expected {kind}, got {type(v).__name__}")
+        raise ConfigError(prefix + field, f"expected {kind}, got {type(v).__name__}")
     return v
 
 
@@ -134,9 +136,7 @@ def build_coefficients(domain, spec, seed):
     run's seed."""
 
     def need(name):
-        if name not in spec:
-            raise ConfigError(f"coefficients.{name}", "required field is missing")
-        return spec[name]
+        return _need(spec, name, prefix="coefficients.")
 
     def number(name):
         return _number(f"coefficients.{name}", spec.get(name, 1.0))
@@ -175,26 +175,36 @@ def build_coefficients(domain, spec, seed):
 
 
 def build_set(domain, spec, seed, kappa):
-    kind = _need(spec, "kind", str)
+    """The observation set a `set` spec describes. A missing field is named
+    as `set.<field>`, malformed points as `set.coords` and a transverse
+    segment that is not a pair as `set.transverse`."""
+
+    def need(name, kind=None):
+        return _need(spec, name, kind, prefix="set.")
+
+    kind = need("kind", str)
+    if kind == "points":
+        try:
+            return point_cloud(domain, need("coords"))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError("set.coords", str(exc)) from exc
     try:
         if kind == "full":
             return full_domain_set(domain, kappa)
         if kind == "interval":
-            return set_from_mask(domain, interval_mask(domain, _need(spec, "from"),
-                                                       _need(spec, "to")), kappa)
+            return set_from_mask(domain, interval_mask(domain, need("from"), need("to")), kappa)
         if kind == "box":
-            return set_from_mask(domain, box_mask(domain, spec["x0"], spec["x1"],
-                                                  spec["y0"], spec["y1"]), kappa)
+            return set_from_mask(domain, box_mask(domain, need("x0"), need("x1"),
+                                                  need("y0"), need("y1")), kappa)
         if kind == "random":
-            return random_set(domain, _need(spec, "measure"), seed, kappa)
+            return random_set(domain, need("measure"), seed, kappa)
         if kind == "cantor":
-            placement = (spec["from"], spec["to"]) if "from" in spec else None
-            transverse = tuple(spec["transverse"]) if "transverse" in spec else None
-            return cantor_set(domain, _need(spec, "ratio"), _need(spec, "levels", int),
-                              placement, transverse)
-        if kind == "points":
-            return point_cloud(domain, spec["coords"])
-    except (ValueError, KeyError, TypeError) as exc:
+            placement = (need("from"), need("to")) if "from" in spec or "to" in spec else None
+            transverse = spec.get("transverse")
+            if not (transverse is None or isinstance(transverse, list) and len(transverse) == 2):
+                raise ConfigError("set.transverse", "must be a pair [t0, t1]")
+            return cantor_set(domain, need("ratio"), need("levels", int), placement, transverse)
+    except (ValueError, TypeError) as exc:
         raise ConfigError("set", str(exc)) from exc
     raise ConfigError("set.kind", f"unknown kind {kind!r}")
 

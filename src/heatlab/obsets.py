@@ -160,13 +160,6 @@ def random_set(domain: Domain, target_measure: float, seed: int,
     return set_from_mask(domain, mask, kappa)
 
 
-def cantor_ratio_for_exponent(s: float) -> float:
-    """Dissection ratio r with log 2 / log(1/r) = s, i.e. r = 2^(-1/s)."""
-    if not (0 < s <= 1):
-        raise ValueError("exponent must lie in (0, 1]")
-    return float(2.0 ** (-1.0 / s))
-
-
 def _cantor_intervals(ratio: float, levels: int, a: float, b: float) -> np.ndarray:
     iv = np.array([[a, b]])
     for _ in range(levels):
@@ -178,7 +171,6 @@ def _cantor_intervals(ratio: float, levels: int, a: float, b: float) -> np.ndarr
 
 
 def _snap_to_unknowns(domain: Domain, coords: np.ndarray):
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
     uc = domain.unknown_coords()
     dist = np.linalg.norm(coords[:, None, :] - uc[None, :, :], axis=2)
     nearest = dist.argmin(axis=1)
@@ -234,37 +226,21 @@ def cantor_set(domain: Domain, ratio: float, levels: int,
 
 
 def point_cloud(domain: Domain, coords) -> ObservationSet:
-    """Explicit point cloud snapped to the nearest unknown nodes."""
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    """Explicit point cloud, an (n, d) array of n >= 1 finite points of the
+    domain's closed box, snapped to the nearest unknown nodes."""
+    coords = np.asarray(coords, dtype=float)
+    d = domain.dimension
+    if coords.ndim != 2 or coords.shape[1] != d:
+        raise ValueError(f"expected a list of points with {d} coordinates each, "
+                         f"got an array of shape {coords.shape}")
     if coords.shape[0] == 0:
         raise EmptySetError("point cloud is empty")
+    if not np.all((coords >= -1e-12) & (coords <= np.asarray(domain.lengths) + 1e-12)):
+        raise ValueError("every point must be finite and lie in the domain's closed box")
     nodes, snap = _snap_to_unknowns(domain, coords)
     margin = float(domain.boundary_distance(domain.node_coords(nodes)).min())
     return ObservationSet(POINT_CLOUD, domain, 0.0, points=nodes, point_coords=coords,
                           snap_distance=snap, boundary_margin=margin)
-
-
-def set_to_json(obs: ObservationSet) -> dict:
-    """JSON-ready description: kind, member cells or snapped points, and the
-    construction metadata."""
-    blob = {"kind": obs.kind, "measure": obs.measure}
-    if obs.cells is not None:
-        blob["cells"] = [int(c) for c in obs.cells]
-    if obs.points is not None:
-        blob["points"] = [int(p) for p in obs.points]
-        blob["point_coords"] = np.asarray(obs.point_coords).tolist()
-        blob["snap_distance"] = obs.snap_distance
-    if obs.exponent is not None:
-        blob["exponent"] = obs.exponent
-    if obs.content is not None:
-        blob["content_lower_bound"] = obs.content
-    if obs.boundary_margin is not None:
-        blob["boundary_margin"] = obs.boundary_margin
-    meta = {k: (np.asarray(v).tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in obs.meta.items()}
-    if meta:
-        blob["meta"] = meta
-    return blob
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Eigenpairs of the discrete operator, spectral projectors, heat semigroup,
-the sinh-in-time elliptic lift, and spectral-asymptotics diagnostics.
+"""Eigenpairs of the discrete operator, modal coefficients and synthesis,
+and spectral-asymptotics diagnostics.
 
 The generalized problem K e = lambda^2 (w * e) has a sparse (CSR) K. A low
 band of a large operator is solved from K as it is, by shift-invert Lanczos
@@ -42,16 +42,6 @@ class Spectrum:
     @property
     def n_modes(self) -> int:
         return self.vectors.shape[1]
-
-    @property
-    def complete(self) -> bool:
-        return self.n_modes == self.vectors.shape[0]
-
-    def inner(self, u, v) -> float:
-        return float(np.sum(self.weights * np.asarray(u) * np.asarray(v)))
-
-    def norm(self, u) -> float:
-        return float(np.sqrt(np.sum(self.weights * np.asarray(u) ** 2)))
 
     def coefficients(self, f) -> np.ndarray:
         """Modal coefficients u_k = <f, e_k>_w of nodal values f."""
@@ -216,63 +206,6 @@ def compute_spectrum(op: DiscreteOperator, lam_max: float | None = None,
     if rep["orthonormality"] > 1e-8 or rep["eigen_residual"] > 1e-8:
         raise NumericalFailureError("eigenpair invariants violated", rep)
     return replace(spec, validation=rep)
-
-
-def project_low(spectrum: Spectrum, f, lam_max: float) -> np.ndarray:
-    """Nodal values of the orthogonal projection onto the span of modes with
-    lambda_k <= lam_max."""
-    if lam_max < 0:
-        raise ValueError("lam_max must be nonnegative")
-    u = spectrum.coefficients(f)
-    u[spectrum.frequencies > lam_max] = 0.0
-    return spectrum.synthesize_values(u)
-
-
-def heat_propagate(spectrum: Spectrum, f, t: float) -> np.ndarray:
-    """Nodal values of e^{t Delta} f on the computed span (exact when the
-    spectrum is complete)."""
-    if t < 0:
-        raise ValueError("heat flow requires t >= 0")
-    return spectrum.synthesize_values(spectrum.coefficients(f) * np.exp(-spectrum.eigenvalues * t))
-
-
-def elliptic_lift(spectrum: Spectrum, coeffs: np.ndarray, lam_max: float,
-                  t_grid: np.ndarray) -> np.ndarray:
-    """Space-time field u(t, x) = sum u_k sinh(lambda_k t)/lambda_k e_k(x) over
-    the band lambda_k <= lam_max, with sinh(lambda t)/lambda := t at lambda=0.
-
-    Satisfies u(0,.) = 0 and dt u(0,.) = sum u_k e_k discretely.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (spectrum.n_modes,):
-        raise ValueError(f"coefficient vector has shape {coeffs.shape}, expected {(spectrum.n_modes,)}")
-    high = np.abs(coeffs[spectrum.frequencies > lam_max])
-    if high.size and high.max() > 1e-12 * max(np.abs(coeffs).max(), 1e-300):
-        raise ValueError("lift input must vanish above the requested band")
-    t_grid = np.asarray(t_grid, dtype=float)
-    lam = spectrum.frequencies
-    out = np.empty((t_grid.size, spectrum.vectors.shape[0]))
-    for i, t in enumerate(t_grid):
-        fac = np.where(lam > 1e-14, np.sinh(np.minimum(lam * t, 700.0)) / np.where(lam > 1e-14, lam, 1.0), t)
-        out[i] = spectrum.synthesize_values(coeffs * fac)
-    return out
-
-
-def lift_residual(spectrum: Spectrum, u: np.ndarray, t_grid: np.ndarray) -> float:
-    """Max interior-time w-norm of (D_t^2 - w^{-1}K) u, the discrete residual of
-    the lifted equation (second time derivative balances the spatial operator)."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    dt = np.diff(t_grid)
-    if not np.allclose(dt, dt[0], rtol=1e-10, atol=0):
-        raise ValueError("lift residual expects a uniform time grid")
-    dt = dt[0]
-    K, w = spectrum.operator.K, spectrum.weights
-    worst = 0.0
-    for i in range(1, t_grid.size - 1):
-        d2t = (u[i + 1] - 2 * u[i] + u[i - 1]) / dt ** 2
-        r = d2t - (K @ u[i]) / w
-        worst = max(worst, float(np.sqrt(np.sum(w * r ** 2))))
-    return worst
 
 
 _MIN_FIT_MODES = 30   # resolved modes the asymptotic slope fits need

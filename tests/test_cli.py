@@ -119,6 +119,23 @@ INTERP = {"experiment": "interp-check", "domain": INTERVAL, "coefficients": CONS
           "seed": 0, "set": {"kind": "interval", "from": 0.0, "to": 1.5708},
           "t": 0.5, "batch": 2}
 LIPSCHITZ = {"kind": "piecewise_linear", "lip_g": 0.5, "lip_kappa": 0.5}
+SQUARE = {"kind": "rectangle", "lx": 1.0, "ly": 1.0, "nx": 8, "ny": 8, "bc": "dirichlet"}
+# set faults that used to build a wrong set silently, or end in a traceback
+BAD_SETS = [
+    ({"kind": "points", "coords": [0.3, 0.9, 1.4, 2.0, 2.7]}, INTERVAL, "set.coords"),
+    ({"kind": "points", "coords": []}, INTERVAL, "set.coords"),
+    ({"kind": "points", "coords": [float("nan")]}, INTERVAL, "set.coords"),
+    ({"kind": "points", "coords": [[float("nan")]]}, INTERVAL, "set.coords"),
+    ({"kind": "points", "coords": [-5.0]}, INTERVAL, "set.coords"),
+    ({"kind": "points", "coords": [[-5.0]]}, INTERVAL, "set.coords"),
+    ({"kind": "points", "coords": [[0.3], [0.4]]}, SQUARE, "set.coords"),
+    ({"kind": "points"}, INTERVAL, "set.coords"),
+    ({"kind": "cantor", "ratio": 0.3, "levels": 3, "transverse": [0.5]}, SQUARE,
+     "set.transverse"),
+    ({"kind": "box", "x0": 0.0, "y0": 0.0, "y1": 1.0}, SQUARE, "set.x1"),
+    ({"kind": "interval", "from": 0.0}, INTERVAL, "set.to"),
+    ({"kind": "cantor", "ratio": 0.3}, INTERVAL, "set.levels"),
+]
 # coefficient faults that used to end in a traceback (exit 1)
 BAD_COEFFICIENTS = [
     dict(LIPSCHITZ, lip_g="x"),
@@ -174,6 +191,7 @@ BAD_COEFFICIENTS = [
     (dict(SPECTRUM, coefficients=dict(CONST, kappa="a")), "coefficients.kappa"),
     (dict(SPECTRUM, coefficients={"kind": "sampled", "csv": 7}), "coefficients.csv"),
     (dict(SPECTRUM, coefficients={"kind": "mystery"}), "coefficients.kind"),
+    *((dict(SWEEP, domain=domain, set=set_), f) for set_, domain, f in BAD_SETS),
 ], ids=["unknown-set-kind", "sup-on-mask", "unknown-norm", "unknown-control-mode",
         "double-on-rectangle", "s-above-t", "s-equals-t", "epsilon-above-one", "unknown-u0-kind",
         "unknown-v0-kind", "chart-s-max-zero", "chart-n-z-one", "chart-n-s-zero",
@@ -186,7 +204,11 @@ BAD_COEFFICIENTS = [
         "domain-length-not-a-number", "grid-min-not-a-number", "out-not-a-path",
         "lip-g-not-a-number", "lip-g-null", "g-base-not-a-number", "kappa-base-null",
         "coefficient-seed-set", "lip-g-missing", "lip-kappa-negative",
-        "kappa-not-a-number", "csv-not-a-path", "unknown-coefficient-kind"])
+        "kappa-not-a-number", "csv-not-a-path", "unknown-coefficient-kind",
+        "coords-flat-list", "coords-empty", "coords-flat-nan", "coords-nan",
+        "coords-flat-outside", "coords-outside", "coords-2d-one-coordinate", "coords-missing",
+        "transverse-not-a-pair", "box-x1-missing", "interval-to-missing",
+        "cantor-levels-missing"])
 def test_config_errors_raise_before_the_eigensolve(tmp_path, monkeypatch, cfg, field):
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("eigensolve reached on an invalid config")
@@ -244,6 +266,10 @@ def test_cli_exit_codes(tmp_path):
     for i, coeffs in enumerate(BAD_COEFFICIENTS):
         bad = write_cfg(tmp_path, dict(SPECTRUM, coefficients=coeffs), f"coeffs{i}.json")
         assert main(["run", str(bad), "--out", str(tmp_path / f"c{i}")]) == 2
+    # a transverse segment that is not a pair used to raise an uncaught IndexError
+    set_, domain, _ = next(bad for bad in BAD_SETS if bad[2] == "set.transverse")
+    transverse = write_cfg(tmp_path, dict(SWEEP, domain=domain, set=set_), "transverse.json")
+    assert main(["run", str(transverse), "--out", str(tmp_path / "t")]) == 2
 
 
 # Cutoffs below the first eigenfrequency (1 on the interval, sqrt(2) on the

@@ -6,7 +6,6 @@ from heatlab import (
     NEUMANN,
     build_interval,
     build_rectangle,
-    cantor_ratio_for_exponent,
     cantor_set,
     content_bound_geometry,
     dyadic_cover_cost,
@@ -51,12 +50,6 @@ def test_cantor_counts_and_exponent():
     assert np.sum(iv[:, 1] - iv[:, 0]) == pytest.approx((2 / 3) ** 5, rel=1e-12)
     assert obs.exponent == pytest.approx(np.log(2) / np.log(3), rel=1e-12)
     assert obs.measure == 0.0
-
-
-def test_cantor_ratio_inversion():
-    for delta in (0.1, 0.3, 0.5):
-        r = cantor_ratio_for_exponent(1 - delta)
-        assert np.log(2) / np.log(1 / r) == pytest.approx(1 - delta, rel=1e-12)
 
 
 def test_cantor_invalid_ratio():
@@ -163,19 +156,3 @@ def test_snap_distance_reported():
     assert obs.snap_distance <= dom.h[0] / 2 + 1e-12
     assert obs.points.size == 1
 
-
-def test_set_json_roundtrip():
-    import json
-    from heatlab import set_to_json
-
-    dom = build_interval(1.0, 81, DIRICHLET)
-    mask_set = set_from_mask(dom, interval_mask(dom, 0.0, 0.5))
-    blob = json.loads(json.dumps(set_to_json(mask_set)))
-    assert blob["kind"] == "cell_mask"
-    assert len(blob["cells"]) == mask_set.cells.size
-    cloud = cantor_set(dom, 1 / 3, 4)
-    blob2 = json.loads(json.dumps(set_to_json(cloud)))
-    assert blob2["kind"] == "point_cloud"
-    assert blob2["exponent"] == pytest.approx(np.log(2) / np.log(3))
-    assert blob2["content_lower_bound"] > 0
-    assert len(blob2["meta"]["intervals"]) == 16
