@@ -151,7 +151,7 @@ def observable_cutoff(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -
 
 @dataclass(eq=False)
 class ControlSchedule:
-    """Synthesized impulsive schedule with its deficit history."""
+    """Synthesized impulsive schedule with its terminal deficit."""
 
     steps: list
     horizon: float
@@ -160,7 +160,6 @@ class ControlSchedule:
     v0_coeffs: np.ndarray
     terminal_deficit: float
     terminal_relative: float
-    deficit_history: np.ndarray    # deficit norm after each step's jump
 
     @property
     def times(self) -> np.ndarray:
@@ -190,7 +189,7 @@ def synthesize(spectrum: Spectrum, obs: ObservationSet, schedule: TimeSequence,
     v0c = np.zeros_like(u0c) if v0 is None else spectrum.coefficients(v0)
     d = u0c - v0c
     d0 = float(np.linalg.norm(d))
-    steps, history = [], []
+    steps = []
     t_prev = 0.0
     for j, tj in enumerate(times):
         d = d * np.exp(-lam2 * (tj - t_prev))
@@ -198,19 +197,14 @@ def synthesize(spectrum: Spectrum, obs: ObservationSet, schedule: TimeSequence,
         lam_j = min(math.sqrt(c_lambda / gap), cap)
         band = spectrum.band(lam_j)
         if band.size and float(np.abs(d[band]).max()) > 0:
-            try:
-                sc = _solve_step(spectrum, obs, band, -d[band], tj, step_index=j)
-            except SynthesisFailureError as exc:
-                exc.step_index = j
-                raise
+            sc = _solve_step(spectrum, obs, band, -d[band], tj, step_index=j)
             d = d + sc.jump
             steps.append(sc)
-        history.append(float(np.linalg.norm(d)))
         t_prev = tj
     d = d * np.exp(-lam2 * (T - t_prev))
     terminal = float(np.linalg.norm(d))
     rel = terminal / d0 if d0 > 0 else 0.0
-    return ControlSchedule(steps, T, obs, u0c, v0c, terminal, rel, np.array(history))
+    return ControlSchedule(steps, T, obs, u0c, v0c, terminal, rel)
 
 
 @dataclass(eq=False)
@@ -219,15 +213,13 @@ class SimulationResult:
     phases: list                   # "pre" / "post" / "end" per snapshot
     state_coeffs: np.ndarray       # (n_snapshots, n_modes)
     terminal_coeffs: np.ndarray
-    terminal_error: float          # vs e^{T Delta} v_0; relative when v_0 != 0
 
 
-def simulate(spectrum: Spectrum, u0, schedule: ControlSchedule, v0=None) -> SimulationResult:
+def simulate(spectrum: Spectrum, u0, schedule: ControlSchedule) -> SimulationResult:
     """Replay the piecewise heat flow with the schedule's modal jumps."""
     T = schedule.horizon
     lam2 = spectrum.eigenvalues
     u = spectrum.coefficients(u0)
-    v0c = schedule.v0_coeffs if v0 is None else spectrum.coefficients(v0)
     times, phases, snaps = [0.0], ["start"], [u.copy()]
     t_prev = 0.0
     for sc in schedule.steps:
@@ -242,12 +234,7 @@ def simulate(spectrum: Spectrum, u0, schedule: ControlSchedule, v0=None) -> Simu
         t_prev = sc.time
     u = u * np.exp(-lam2 * (T - t_prev))
     times.append(T); phases.append("end"); snaps.append(u.copy())
-    target = v0c * np.exp(-lam2 * T)
-    err = float(np.linalg.norm(u - target))
-    v_norm = float(np.linalg.norm(v0c))
-    if v_norm > 0:
-        err /= v_norm
-    return SimulationResult(np.array(times), phases, np.array(snaps), u, err)
+    return SimulationResult(np.array(times), phases, np.array(snaps), u)
 
 
 # ---------------------------------------------------------------------------

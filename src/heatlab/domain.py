@@ -245,29 +245,21 @@ def _reflected_walk(rng, n_steps, base, lip, h):
 def random_lipschitz_coefficients(domain: Domain, lip_g: float, lip_kappa: float,
                                   seed: int, g_base=1.0, kappa_base=1.0) -> CoefficientField:
     """Piecewise-linear random fields whose axis-wise difference quotients stay
-    within the declared bounds. 2-D fields are sums of per-axis profiles; the
-    metric stays diagonal."""
+    within the declared bounds: each is a sum over the axes of per-axis
+    profiles with base/d and bound/d. The metric stays diagonal."""
     rng = np.random.default_rng(seed)
     d = domain.dimension
-    n_tot = domain.n_nodes_total
-    if d == 1:
-        n = domain.n_cells[0]
-        kappa = _reflected_walk(rng, n, kappa_base, lip_kappa, domain.h[0])
-        g = np.zeros((n_tot, 1, 1))
-        g[:, 0, 0] = _reflected_walk(rng, n, g_base, lip_g, domain.h[0])
-        return _finalize(domain, g, kappa, lip_g, lip_kappa)
-    nx, ny = domain.n_cells
-    hx, hy = domain.h
 
     def separable(base, lip):
-        ax = _reflected_walk(rng, nx, base / 2, lip / 2, hx)
-        ay = _reflected_walk(rng, ny, base / 2, lip / 2, hy)
-        return (ax[:, None] + ay[None, :]).ravel()
+        total = np.zeros(())
+        for n, h in zip(domain.n_cells, domain.h):
+            total = np.add.outer(total, _reflected_walk(rng, n, base / d, lip / d, h))
+        return total.ravel()
 
     kappa = separable(kappa_base, lip_kappa)
-    g = np.zeros((n_tot, 2, 2))
-    g[:, 0, 0] = separable(g_base, lip_g)
-    g[:, 1, 1] = separable(g_base, lip_g)
+    g = np.zeros((domain.n_nodes_total, d, d))
+    for a in range(d):
+        g[:, a, a] = separable(g_base, lip_g)
     return _finalize(domain, g, kappa, lip_g, lip_kappa)
 
 

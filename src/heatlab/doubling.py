@@ -146,7 +146,6 @@ class BoundaryChart:
     z_grid: np.ndarray
     chi: np.ndarray                # cutoff sampled on z_grid
     normal: np.ndarray             # (nz, 2) inward unit normal at y = 0
-    normalizer: np.ndarray         # (nz,)
     m: np.ndarray                  # (ns, nz, 2) smoothed field at |s| levels
     phi: np.ndarray                # (ns, nz, 2) map values
     core: np.ndarray               # z indices where chi == 1 (diagnostic region)
@@ -166,7 +165,7 @@ def build_chart(a_fn, s_max: float, n_s: int, z_extent: float, n_z: int,
     s_grid = np.concatenate([-s_half[:0:-1], s_half])
     chi = np.asarray(cutoff(z_grid), dtype=float)
     a0 = np.asarray(a_fn(np.zeros_like(z_grid), z_grid), dtype=float)
-    n0, lam = boundary_normal(a0)
+    n0, _ = boundary_normal(a0)
     m_half = smooth_normal(n0, chi, s_half, z_grid)
     ns = s_grid.size
     m = np.empty((ns, z_grid.size, 2))
@@ -177,7 +176,7 @@ def build_chart(a_fn, s_max: float, n_s: int, z_extent: float, n_z: int,
         phi[i, :, 0] = s * mi[:, 0]
         phi[i, :, 1] = z_grid + s * mi[:, 1]
     core = np.where(chi >= 1.0 - 1e-12)[0]
-    return BoundaryChart(a_fn, s_grid, z_grid, chi, n0, lam, m, phi, core)
+    return BoundaryChart(a_fn, s_grid, z_grid, chi, n0, m, phi, core)
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,6 @@ class ChartDiagnostics:
     unit_normal_dev: float
     orthogonality_dev: float
     m0_dev: float                   # m(0,.) against chi * n (exact by construction)
-    jac0_min_det: float
     b0_algebraic: np.ndarray        # (nz_core, 2, 2) pullback at s = 0 from the closed form
     b0_offdiag_max: float
     b0_normal_dev: float            # max |b_00 - 1| on the core
@@ -200,7 +198,7 @@ def pseudo_geodesic_diag(chart: BoundaryChart) -> ChartDiagnostics:
     the diag(1, b') structure of the pulled-back metric at the boundary, and
     finite-difference curvature (W2-infinity surrogate) bounds."""
     z = chart.z_grid
-    n0, lam, chi = chart.normal, chart.normalizer, chart.chi
+    n0, chi = chart.normal, chart.chi
     a0 = np.asarray(chart.a_fn(np.zeros_like(z), z), dtype=float)
 
     unit = np.einsum("mi,mij,mj->m", n0, a0, n0)
@@ -251,7 +249,7 @@ def pseudo_geodesic_diag(chart: BoundaryChart) -> ChartDiagnostics:
     masses = [kernel_mass(s, dz) for s in chart.s_grid if s > 0]
     mass_range = (float(min(masses)), float(max(masses))) if masses else (1.0, 1.0)
 
-    return ChartDiagnostics(unit_dev, orth_dev, m0_dev, min_det, b0, b0_off,
+    return ChartDiagnostics(unit_dev, orth_dev, m0_dev, b0, b0_off,
                             b0_ndev, b_tan_min, b_fd_off, d2, mass_range)
 
 
@@ -266,7 +264,6 @@ class DoubledSystem:
     needed to extend one-sided vectors."""
 
     source_domain: Domain
-    source_coefficients: CoefficientField
     domain: Domain
     coefficients: CoefficientField
     operator: DiscreteOperator
@@ -302,7 +299,7 @@ def double_domain(domain: Domain, coeffs: CoefficientField) -> DoubledSystem:
     g2[flip, 1:, 0] *= -1.0
     coeffs2 = coefficients_from_tables(doubled, g2, kappa2)
     op2 = assemble(doubled, coeffs2)
-    return DoubledSystem(domain, coeffs, doubled, coeffs2, op2, n)
+    return DoubledSystem(domain, doubled, coeffs2, op2, n)
 
 
 def extend_eigenfunction(doubled: DoubledSystem, eigvec: np.ndarray, lam_sq: float):

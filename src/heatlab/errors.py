@@ -1,8 +1,17 @@
 """Exception types shared across the package.
 
-Plain precondition violations raise ValueError; the classes below mark
-failures that callers may want to catch and report individually.
+Plain precondition violations raise ValueError, or ArgumentError where one
+argument carries the fault; the other classes below mark failures that
+callers may want to catch and report individually.
 """
+
+
+class ArgumentError(ValueError):
+    """A precondition on one argument failed; `arg` names that argument."""
+
+    def __init__(self, arg, message):
+        super().__init__(message)
+        self.arg = arg
 
 
 class HeatLabError(Exception):

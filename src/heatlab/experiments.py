@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from .domain import (
     random_lipschitz_coefficients,
 )
 from .doubling import build_chart, double_domain, extend_eigenfunction, pseudo_geodesic_diag
-from .errors import ConfigError, InsufficientDataError
+from .errors import ArgumentError, ConfigError, InsufficientDataError
 from .inequality import (
     constant_l1,
     constant_l2,
@@ -85,128 +86,148 @@ def write_csv(path: Path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _need(cfg, field, kind=None, prefix=""):
-    """cfg[field], checked to be present and of `kind`; faults name
-    prefix + field."""
-    if field not in cfg:
-        raise ConfigError(prefix + field, "required field is missing")
-    v = cfg[field]
-    if kind is not None and not isinstance(v, kind):
-        raise ConfigError(prefix + field, f"expected {kind}, got {type(v).__name__}")
-    return v
+_REQUIRED = object()
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               (int, float): "a number"}
 
 
-def _number(field, v, positive=True) -> float:
-    """`v` as a float, checked to be finite and, unless `positive` is False, > 0."""
-    if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v) and (v > 0 or not positive)):
-        raise ConfigError(field, f"must be a {'positive ' if positive else ''}number")
-    return float(v)
+class _Section:
+    """The reader of one config object at its dotted `path` ('' for the whole
+    config). Each read checks one field, and a fault is named
+    `<path>.<field>`, so a nested fault names its section by construction.
+    A number is a finite int or float and an integer an int; a JSON boolean
+    is neither. An absent field takes its default, and a field whose default
+    is None also takes null."""
 
+    def __init__(self, spec, path=""):
+        self.spec, self.path = spec, path
 
-def _integer(field, v, least, most=None):
-    """`v`, checked to be an integer in [least, most] (no bound when None)."""
-    if not (isinstance(v, int) and not isinstance(v, bool) and v >= least
-            and (most is None or v <= most)):
-        span = f">= {least}" if most is None else f"in [{least}, {most}]"
-        raise ConfigError(field, f"must be an integer {span}")
-    return v
+    def name(self, field):
+        return f"{self.path}.{field}" if self.path else field
+
+    def fault(self, field, message):
+        return ConfigError(self.name(field), message)
+
+    def item(self, field, value):
+        """A reader of one element of the list `field`, named by the list."""
+        return _Section({field: value}, self.path)
+
+    def get(self, field, kind, default=_REQUIRED):
+        """The field, checked to be a `kind` (a key of _KIND_NAMES)."""
+        if field not in self.spec:
+            if default is _REQUIRED:
+                raise self.fault(field, "required field is missing")
+            return default
+        v = self.spec[field]
+        if v is None and default is None:
+            return None
+        if not isinstance(v, kind) or isinstance(v, bool):
+            raise self.fault(field, f"must be {_KIND_NAMES[kind]}, got {type(v).__name__}")
+        return v
+
+    def section(self, field, default=_REQUIRED):
+        """The object `field` as a reader of its own."""
+        return _Section(self.get(field, dict, default), self.name(field))
+
+    def choice(self, field, options, default=_REQUIRED):
+        v = self.get(field, str, default)
+        if v not in options:
+            raise self.fault(field, f"must be one of {options}, got {v!r}")
+        return v
+
+    def number(self, field, default=_REQUIRED, above=None, least=None):
+        """A finite number as a float, > `above` or >= `least` when given."""
+        v = self.get(field, (int, float), default)
+        # a bound on |v| rather than math.isfinite, which overflows on a huge int
+        if v is not None and not (abs(v) <= sys.float_info.max and (above is None or v > above)
+                                  and (least is None or v >= least)):
+            bound = f" > {above}" if above is not None else "" if least is None else f" >= {least}"
+            raise self.fault(field, f"must be a finite number{bound}")
+        return v if v is None else float(v)
+
+    def integer(self, field, default=_REQUIRED, least=None, most=None):
+        """An integer in [least, most] (no bound where None)."""
+        v = self.get(field, int, default)
+        if v is not None and not ((least is None or v >= least) and (most is None or v <= most)):
+            raise self.fault(field, f"must be an integer >= {least}" if most is None
+                             else f"must be an integer in [{least}, {most}]")
+        return v
+
+    def numbers(self, field, count=None, default=_REQUIRED, above=None):
+        """A list of finite numbers > `above`, exactly `count` of them when given."""
+        v = self.get(field, list, default)
+        if v is not None and count is not None and len(v) != count:
+            raise self.fault(field, f"must be a list of {count} numbers")
+        return v if v is None else [self.item(field, x).number(field, above=above) for x in v]
 
 
 def build_domain(spec) -> object:
-    kind = _need(spec, "kind", str)
-    bc = _need(spec, "bc", str)
-    if bc not in (DIRICHLET, NEUMANN):
-        raise ConfigError("domain.bc", f"must be '{DIRICHLET}' or '{NEUMANN}'")
-    try:
-        if kind == "interval":
-            return build_interval(_need(spec, "length"), _need(spec, "cells", int), bc)
-        if kind == "rectangle":
-            return build_rectangle(_need(spec, "lx"), _need(spec, "ly"),
-                                   _need(spec, "nx", int), _need(spec, "ny", int), bc)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("domain", str(exc)) from exc
-    raise ConfigError("domain.kind", f"unknown kind {kind!r}")
+    sec = _Section(spec, "domain")
+    kind = sec.choice("kind", ("interval", "rectangle"))
+    bc = sec.choice("bc", (DIRICHLET, NEUMANN))
+    if kind == "interval":
+        return build_interval(sec.number("length", above=0), sec.integer("cells", least=2), bc)
+    return build_rectangle(sec.number("lx", above=0), sec.number("ly", above=0),
+                           sec.integer("nx", least=2), sec.integer("ny", least=2), bc)
 
 
 def build_coefficients(domain, spec, seed):
     """The field a `coefficients` spec describes, from the typed constructor
     of its kind; the one reader of that spec. Every numeric field is checked
     before the field is built, and a piecewise-linear field is drawn with the
-    run's seed."""
-
-    def need(name):
-        return _need(spec, name, prefix="coefficients.")
-
-    def number(name):
-        return _number(f"coefficients.{name}", spec.get(name, 1.0))
-
-    def bound(name, measured=False):
-        """A declared Lipschitz bound >= 0, or None (the measured quotient)
-        when `measured` lets the field be absent."""
-        if measured and spec.get(name) is None:
-            return None
-        v = _number(f"coefficients.{name}", need(name), positive=False)
-        if v < 0:
-            raise ConfigError(f"coefficients.{name}", "must be a number >= 0")
-        return v
-
-    kind = spec.get("kind")
+    run's seed. A declared Lipschitz bound is a number >= 0; a sampled field
+    without one takes the measured quotient."""
+    sec = _Section(spec, "coefficients")
     if "seed" in spec:
-        raise ConfigError("coefficients.seed", "the run's seed draws the coefficients")
+        raise sec.fault("seed", "the run's seed draws the coefficients")
+    kind = sec.choice("kind", ("constant", "piecewise_linear", "sampled"))
     try:
         if kind == "constant":
-            g = spec.get("g", 1.0)
-            return constant_coefficients(domain, g if isinstance(g, list) else number("g"),
-                                         number("kappa"))
+            g = ([sec.item("g", row).numbers("g", domain.dimension) for row in spec["g"]]
+                 if isinstance(spec.get("g"), list) else sec.number("g", 1.0, above=0))
+            return constant_coefficients(domain, g, sec.number("kappa", 1.0, above=0))
         if kind == "piecewise_linear":
-            return random_lipschitz_coefficients(domain, bound("lip_g"), bound("lip_kappa"),
-                                                 seed, number("g_base"), number("kappa_base"))
-        if kind == "sampled":
-            lips = bound("lip_g", True), bound("lip_kappa", True)
-            if "csv" not in spec:
-                return coefficients_from_tables(domain, need("g"), need("kappa"), *lips)
-            if not isinstance(spec["csv"], str):
-                raise ConfigError("coefficients.csv", "must be a path string")
-            return load_coefficients_csv(domain, spec["csv"], *lips)
+            return random_lipschitz_coefficients(
+                domain, sec.number("lip_g", least=0), sec.number("lip_kappa", least=0), seed,
+                sec.number("g_base", 1.0, above=0), sec.number("kappa_base", 1.0, above=0))
+        lips = sec.number("lip_g", None, least=0), sec.number("lip_kappa", None, least=0)
+        if "csv" in spec:
+            return load_coefficients_csv(domain, sec.get("csv", str), *lips)
+        return coefficients_from_tables(domain, sec.get("g", list), sec.get("kappa", list), *lips)
     except (ValueError, TypeError, OSError) as exc:
-        raise ConfigError("coefficients", str(exc)) from exc
-    raise ConfigError("coefficients.kind", f"unknown kind {kind!r}")
+        raise ConfigError(sec.path, str(exc)) from exc
+
+
+# Set-constructor arguments named otherwise than the set field they come from.
+_SET_FIELDS = {"a": "from", "b": "to", "target_measure": "measure"}
 
 
 def build_set(domain, spec, seed, kappa):
-    """The observation set a `set` spec describes. A missing field is named
-    as `set.<field>`, malformed points as `set.coords` and a transverse
-    segment that is not a pair as `set.transverse`."""
-
-    def need(name, kind=None):
-        return _need(spec, name, kind, prefix="set.")
-
-    kind = need("kind", str)
-    if kind == "points":
-        try:
-            return point_cloud(domain, need("coords"))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError("set.coords", str(exc)) from exc
+    """The observation set a `set` spec describes. A constructor's range
+    fault names its argument, and is reported as the set field it came from;
+    a fault that no one field carries is reported as `set`."""
+    sec = _Section(spec, "set")
+    kind = sec.choice("kind", ("full", "interval", "box", "random", "cantor", "points"))
     try:
         if kind == "full":
             return full_domain_set(domain, kappa)
-        if kind == "interval":
-            return set_from_mask(domain, interval_mask(domain, need("from"), need("to")), kappa)
-        if kind == "box":
-            return set_from_mask(domain, box_mask(domain, need("x0"), need("x1"),
-                                                  need("y0"), need("y1")), kappa)
         if kind == "random":
-            return random_set(domain, need("measure"), seed, kappa)
+            return random_set(domain, sec.number("measure"), seed, kappa)
+        if kind == "points":
+            return point_cloud(domain, [sec.item("coords", p).numbers("coords", domain.dimension)
+                                        for p in sec.get("coords", list)])
         if kind == "cantor":
-            placement = (need("from"), need("to")) if "from" in spec or "to" in spec else None
-            transverse = spec.get("transverse")
-            if not (transverse is None or isinstance(transverse, list) and len(transverse) == 2):
-                raise ConfigError("set.transverse", "must be a pair [t0, t1]")
-            return cantor_set(domain, need("ratio"), need("levels", int), placement, transverse)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("set", str(exc)) from exc
-    raise ConfigError("set.kind", f"unknown kind {kind!r}")
+            placed = "from" in spec or "to" in spec
+            return cantor_set(domain, sec.number("ratio"), sec.integer("levels"),
+                              (sec.number("from"), sec.number("to")) if placed else None,
+                              sec.numbers("transverse", 2, None))
+        mask = (interval_mask(domain, sec.number("from"), sec.number("to")) if kind == "interval"
+                else box_mask(domain, *(sec.number(f) for f in ("x0", "x1", "y0", "y1"))))
+        return set_from_mask(domain, mask, kappa)
+    except ArgumentError as exc:
+        raise sec.fault(_SET_FIELDS.get(exc.arg, exc.arg), str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigError(sec.path, str(exc)) from exc
 
 
 def build_field(spectrum, spec, rng):
@@ -220,26 +241,22 @@ def build_field(spectrum, spec, rng):
 
 def _field_spec(cfg, name, default, n_modes):
     """Control field `name` with its own default kind and a checked mode index."""
-    spec = dict(_need(cfg, name, dict)) if name in cfg else {}
-    spec["kind"] = spec.get("kind", default)
-    if spec["kind"] not in ("zero", "random", "mode"):
-        raise ConfigError(f"{name}.kind", f"unknown kind {spec['kind']!r}")
+    sec = cfg.section(name, {})
+    spec = {"kind": sec.choice("kind", ("zero", "random", "mode"), default)}
     if spec["kind"] == "mode":
-        _integer(f"{name}.k", spec.setdefault("k", 1), 1, n_modes)
-        spec["amplitude"] = _number(f"{name}.amplitude", spec.get("amplitude", 1.0), False)
+        spec["k"] = sec.integer("k", 1, least=1, most=n_modes)
+        spec["amplitude"] = sec.number("amplitude", 1.0)
     return spec
 
 
-def _lambda_grid(spec):
-    try:
-        if isinstance(spec, list):
-            grid = np.asarray(spec, dtype=float)
-        else:
-            grid = np.linspace(_need(spec, "min"), _need(spec, "max"), _need(spec, "count", int))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("lambda_grid", str(exc)) from exc
+def _lambda_grid(cfg):
+    if isinstance(cfg.spec.get("lambda_grid"), dict):
+        spec = cfg.section("lambda_grid")
+        grid = np.linspace(spec.number("min"), spec.number("max"), spec.integer("count", least=1))
+    else:
+        grid = np.asarray(cfg.numbers("lambda_grid"), dtype=float)
     if grid.size < 1 or np.any(np.diff(grid) <= 0):
-        raise ConfigError("lambda_grid", "grid must be strictly increasing and nonempty")
+        raise cfg.fault("lambda_grid", "grid must be strictly increasing and nonempty")
     return grid
 
 
@@ -247,10 +264,10 @@ def _norms(cfg, obs):
     """The norms a constant sweep computes: l2 and l1 on a cell mask, sup on
     a point cloud."""
     allowed = ("l2", "l1") if obs.kind == CELL_MASK else ("sup",)
-    norms = _need(cfg, "norms", list) if "norms" in cfg else [allowed[0]]
+    norms = cfg.get("norms", list, [allowed[0]])
     for nm in norms:
         if nm not in allowed:
-            raise ConfigError("norms", f"a {obs.kind} set takes {list(allowed)}, got {nm!r}")
+            raise cfg.fault("norms", f"a {obs.kind} set takes {list(allowed)}, got {nm!r}")
     return norms
 
 
@@ -262,19 +279,14 @@ def _chart_params(cfg):
     s = 0 and take second differences over three nodes of the cutoff's core
     |z| <= z_extent/2, which every n_z >= 7 provides.
     """
-    spec = cfg.get("chart")
-    if not spec:
+    if not cfg.spec.get("chart"):
         return None
-    if not isinstance(spec, dict):
-        raise ConfigError("chart", "expected an object")
-    a_diag = spec.get("a_diag", [4.0, 1.0])
-    if not (isinstance(a_diag, list) and len(a_diag) == 2):
-        raise ConfigError("chart.a_diag", "must be two positive numbers")
-    return ([_number("chart.a_diag", v) for v in a_diag],
-            _number("chart.s_max", spec.get("s_max", 0.05)),
-            _integer("chart.n_s", spec.get("n_s", 10), 2),
-            _number("chart.z_extent", spec.get("z_extent", 1.0)),
-            _integer("chart.n_z", spec.get("n_z", 801), 7))
+    chart = cfg.section("chart")
+    return (chart.numbers("a_diag", 2, [4.0, 1.0], above=0),
+            chart.number("s_max", 0.05, above=0),
+            chart.integer("n_s", 10, least=2),
+            chart.number("z_extent", 1.0, above=0),
+            chart.integer("n_z", 801, least=7))
 
 
 @dataclass(eq=False)
@@ -294,87 +306,82 @@ class RunPlan:
     doubled: tuple | None
 
 
-def _setup(cfg) -> RunPlan:
+def _setup(raw) -> RunPlan:
     """The one reader of a config. Reads, defaults and checks every field the
     family uses and works out the spectrum it needs (the top of the lambda
     grid, `modes`, `count` or `lambda_max`); only then assembles and solves.
     A cutoff below the first eigenfrequency, which only the solve reveals,
     is a ConfigError as well."""
-    exp = _need(cfg, "experiment", str)
-    if exp not in RUNNERS:
-        raise ConfigError("experiment", f"must be one of {tuple(RUNNERS)}")
-    domain = build_domain(_need(cfg, "domain", dict))
-    coeff_spec = _need(cfg, "coefficients", dict)
+    cfg = _Section(raw)
+    exp = cfg.choice("experiment", tuple(RUNNERS))
+    domain = build_domain(cfg.get("domain", dict))
+    coeff_spec = cfg.get("coefficients", dict)
     observed = exp in ("constant-sweep", "interp-check", "control")
-    set_spec = _need(cfg, "set", dict) if observed else {}
-    out = _need(cfg, "out", str) if cfg.get("out") else f"heatlab-out/{exp}"
+    set_spec = cfg.get("set", dict) if observed else {}
+    out = cfg.get("out", str) if raw.get("out") else f"heatlab-out/{exp}"
     n = domain.n_unknowns
     p, lam_max, count = {}, None, None
     if exp == "spectrum":
-        lam_max, count = cfg.get("lambda_max"), cfg.get("count")
-        lam_max = None if lam_max is None else _number("lambda_max", lam_max)
-        count = None if count is None else _integer("count", count, 1, n)
+        lam_max = cfg.number("lambda_max", None, above=0)
+        count = cfg.integer("count", None, least=1, most=n)
     elif exp == "constant-sweep":
-        p["lambda_grid"] = _lambda_grid(_need(cfg, "lambda_grid", (dict, list)))
+        p["lambda_grid"] = _lambda_grid(cfg)
         lam_max = p["lambda_grid"][-1]
     elif exp == "interp-check":
-        s, t = _number("s", cfg.get("s", 0.0), False), _number("t", _need(cfg, "t"), False)
+        s, t = cfg.number("s", 0.0), cfg.number("t")
         if not (0 <= s < t):
-            raise ConfigError("s", f"need 0 <= s < t, got s={s}, t={t}")
-        eps = _number("epsilon", cfg.get("epsilon", 0.5), False)
+            raise cfg.fault("s", f"need 0 <= s < t, got s={s}, t={t}")
+        eps = cfg.number("epsilon", 0.5)
         if not (0 < eps < 1):
-            raise ConfigError("epsilon", "must lie in (0, 1)")
-        p.update(s=s, t=t, epsilon=eps, batch=_integer("batch", cfg.get("batch", 50), 1))
+            raise cfg.fault("epsilon", "must lie in (0, 1)")
+        p.update(s=s, t=t, epsilon=eps, batch=cfg.integer("batch", 50, least=1))
     elif exp == "control":
-        count = _integer("modes", cfg.get("modes", n), 1, n)
-        sched = _need(cfg, "schedule", dict)
+        count = cfg.integer("modes", n, least=1, most=n)
+        sched = cfg.section("schedule")
         try:
-            p["schedule"] = lr_schedule(_number("schedule.T", _need(sched, "T"), False),
-                                        _number("schedule.rho", _need(sched, "rho"), False),
-                                        _need(sched, "steps", int))
+            p["schedule"] = lr_schedule(sched.number("T"), sched.number("rho"),
+                                        sched.integer("steps"))
         except ValueError as exc:
-            raise ConfigError("schedule", str(exc)) from exc
-        p["mode"] = cfg.get("mode", "impulsive")
-        if p["mode"] not in ("impulsive", "distributed"):
-            raise ConfigError("mode", f"unknown control mode {p['mode']!r}")
+            raise ConfigError(sched.path, str(exc)) from exc
+        p["mode"] = cfg.choice("mode", ("impulsive", "distributed"), "impulsive")
         p["u0"] = _field_spec(cfg, "u0", "random", count)
         p["v0"] = _field_spec(cfg, "v0", "zero", count)
-        p["cost_rate"] = _number("cost_rate", cfg.get("cost_rate", 5e-4))
-        p["c_lambda"] = _number("c_lambda", cfg.get("c_lambda", DEFAULT_C_LAMBDA))
-        p["time_slabs"] = _integer("time_slabs", cfg.get("time_slabs", 32), 1)
+        p["cost_rate"] = cfg.number("cost_rate", 5e-4, above=0)
+        p["c_lambda"] = cfg.number("c_lambda", DEFAULT_C_LAMBDA, above=0)
+        p["time_slabs"] = cfg.integer("time_slabs", 32, least=1)
     else:
         if domain.dimension != 1:
-            raise ConfigError("domain", "the doubling experiment runs on intervals")
-        count = _integer("modes", cfg.get("modes", 10), 1, n)
+            raise cfg.fault("domain", "the doubling experiment runs on intervals")
+        count = cfg.integer("modes", 10, least=1, most=n)
         p["chart"] = _chart_params(cfg)
     draws = (coeff_spec.get("kind") == "piecewise_linear" or set_spec.get("kind") == "random"
              or exp == "interp-check"
              or any(p[f]["kind"] == "random" for f in ("u0", "v0") if f in p))
-    if draws and "seed" not in cfg:
-        raise ConfigError("seed", "required whenever the config draws random data")
-    seed = _integer("seed", cfg.get("seed", 0), 0)
+    if draws and "seed" not in raw:
+        raise cfg.fault("seed", "required whenever the config draws random data")
+    seed = cfg.integer("seed", 0, least=0)
     coeffs = build_coefficients(domain, coeff_spec, seed)
     obs = build_set(domain, set_spec, seed, coeffs.kappa) if observed else None
     if exp == "constant-sweep":
         p["norms"] = _norms(cfg, obs)
     if p.get("mode") == "distributed" and obs.kind != CELL_MASK:
-        raise ConfigError("set", "distributed control needs a cell-mask set")
+        raise cfg.fault("set", "distributed control needs a cell-mask set")
     op = assemble(domain, coeffs)
     try:
         spectrum = compute_spectrum(op, lam_max=lam_max, count=count)
     except ValueError as exc:   # `count` is checked, so only an empty band is left
         if lam_max is None:
             raise
-        raise ConfigError("lambda_max" if exp == "spectrum" else "lambda_grid",
-                          f"no eigenfrequency lies at or below {lam_max:.6g}") from exc
+        raise cfg.fault("lambda_max" if exp == "spectrum" else "lambda_grid",
+                        f"no eigenfrequency lies at or below {lam_max:.6g}") from exc
     if exp == "constant-sweep" and p["lambda_grid"][0] < spectrum.frequencies[0]:
-        raise ConfigError("lambda_grid", f"the cutoff {p['lambda_grid'][0]:.6g} lies below the "
-                          f"first eigenfrequency {spectrum.frequencies[0]:.6g}")
+        raise cfg.fault("lambda_grid", f"the cutoff {p['lambda_grid'][0]:.6g} lies below the "
+                        f"first eigenfrequency {spectrum.frequencies[0]:.6g}")
     doubled = None
     if exp == "double-check":
         db = double_domain(domain, coeffs)
         doubled = (db, compute_spectrum(db.operator))
-    return RunPlan(exp, seed, config_hash(dict(cfg, seed=seed)), out, spectrum, obs, p,
+    return RunPlan(exp, seed, config_hash(dict(raw, seed=seed)), out, spectrum, obs, p,
                    doubled)
 
 
@@ -516,7 +523,7 @@ def run_control(plan: RunPlan, out: Path, log, threads):
 
     if p["mode"] == "impulsive":
         sched = synthesize(spec, obs, seq, u0, v0, c_lambda=p["c_lambda"])
-        sim = simulate(spec, u0, sched, v0)
+        sim = simulate(spec, u0, sched)
         led = cost_report(sched, p["cost_rate"])
         _export_schedule(sched, out / "schedule.json")
         traj_rows = [(sim.times[i], sim.phases[i],
@@ -640,8 +647,7 @@ def run(cfg: dict, out_dir=None, threads=None, verbose=False):
     raises ConfigError on invalid input, before any eigensolve except for a
     spectral cutoff below the first eigenfrequency.
     """
-    if threads is not None:
-        _integer("threads", threads, 1)
+    _Section({"threads": threads}).integer("threads", None, least=1)
     plan = _setup(cfg)
     out = Path(out_dir or plan.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -237,7 +237,6 @@ class InterpolationReport:
     lhs: float                 # ||e^{t Delta} f||_2
     obs_norm: float            # ||e^{t Delta} f|| restricted to the set
     s_norm: float              # ||e^{s Delta} f||_2
-    epsilon: float
     n_required: float          # smallest N with lhs <= N e^{N/(t-s)} obs^(1-eps) s_norm^eps
     lambda_opt_closed: float   # balance cutoff e^{Lambda^2 (t-s)} = s_norm/obs
     lambda_opt_numeric: float  # numeric minimizer of the two-term bound
@@ -311,7 +310,7 @@ def interpolation_check(spectrum: Spectrum, obs: ObservationSet, f,
     split_margin = split_bound - high_norm
 
     holds = lhs <= n_req * math.exp(n_req / tau) * obs_norm ** (1 - epsilon) * s_norm ** epsilon * (1 + 1e-9)
-    return InterpolationReport(lhs, obs_norm, s_norm, epsilon, n_req,
+    return InterpolationReport(lhs, obs_norm, s_norm, n_req,
                                lam_opt_closed, lam_opt_numeric, identity_dev,
                                split_margin, holds)
 
@@ -333,7 +332,6 @@ class TimeSequence:
     tag: str
     ratio: float
     horizon: float
-    anchor: float | None = None
     measured_ratios: np.ndarray | None = None
 
     def __post_init__(self):
@@ -465,7 +463,6 @@ def phung_wang_times(J, z: float, anchor: float, depth: int = 8) -> TimeSequence
                 break
         if ok:
             return TimeSequence(times[:depth + 2], "phung_wang", float(z), T,
-                                anchor=float(anchor),
                                 measured_ratios=np.array(ratios))
     raise SearchFailureError(
         "no admissible first time found: the anchor is not a usable density point "
@@ -479,13 +476,11 @@ def phung_wang_times(J, z: float, anchor: float, depth: int = 8) -> TimeSequence
 
 @dataclass(frozen=True)
 class FubiniReport:
-    slab_times: np.ndarray        # slab midpoints
     slice_measures: np.ndarray    # |E_t| per slab
     threshold: float              # |F| / (2T)
     j_slabs: np.ndarray           # slab indices with fat slices
     j_measure: float
     j_lower_bound: float          # |F| / (2 * support volume)
-    mask_measure: float
 
 
 def fubini_slices(mask: np.ndarray, domain, T: float) -> FubiniReport:
@@ -508,6 +503,4 @@ def fubini_slices(mask: np.ndarray, domain, T: float) -> FubiniReport:
     support_cells = np.any(mask, axis=0)
     support_vol = float(np.count_nonzero(support_cells) * cellvol)
     bound = f_measure / (2 * support_vol)
-    mid = (np.arange(nt) + 0.5) * dt
-    return FubiniReport(mid, slice_measures, threshold, j, float(j.size * dt),
-                        bound, f_measure)
+    return FubiniReport(slice_measures, threshold, j, float(j.size * dt), bound)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Domain
-from .errors import EmptySetError
+from .errors import ArgumentError, EmptySetError
 
 CELL_MASK = "cell_mask"
 POINT_CLOUD = "point_cloud"
@@ -131,15 +131,19 @@ def full_domain_set(domain: Domain, kappa=None) -> ObservationSet:
 def interval_mask(domain: Domain, a: float, b: float) -> np.ndarray:
     """Mask of cells contained in [a, b] along axis 0 (all of axis 1 in 2-D)."""
     if not b > a:
-        raise ValueError("need b > a")
+        raise ArgumentError("b", "need b > a")
     h0 = domain.h[0]
     cx = domain.cell_multi_index(np.arange(domain.n_cells_total))[0]
     return (cx * h0 >= a - 1e-12) & ((cx + 1) * h0 <= b + 1e-12)
 
 
 def box_mask(domain: Domain, x0, x1, y0, y1) -> np.ndarray:
+    """Mask of cells contained in [x0, x1] x [y0, y1]."""
     if domain.dimension != 2:
         raise ValueError("box_mask needs a 2-D domain")
+    for arg, lo, hi in (("x1", x0, x1), ("y1", y0, y1)):
+        if not hi > lo:
+            raise ArgumentError(arg, f"need {arg} > {lo}, got {hi}")
     hx, hy = domain.h
     cx, cy = domain.cell_multi_index(np.arange(domain.n_cells_total))
     return ((cx * hx >= x0 - 1e-12) & ((cx + 1) * hx <= x1 + 1e-12) &
@@ -150,7 +154,8 @@ def random_set(domain: Domain, target_measure: float, seed: int,
                kappa=None) -> ObservationSet:
     """Random union of cells with measure within one cell volume of the target."""
     if not (0 < target_measure <= domain.volume + 1e-12):
-        raise ValueError(f"target measure {target_measure} outside (0, {domain.volume}]")
+        raise ArgumentError("target_measure",
+                            f"target measure {target_measure} outside (0, {domain.volume}]")
     rng = np.random.default_rng(seed)
     k = int(round(target_measure / domain.cell_volume))
     k = min(max(k, 1), domain.n_cells_total)
@@ -186,17 +191,19 @@ def cantor_set(domain: Domain, ratio: float, levels: int,
 
     Declared exponent s = log 2 / log(1/r) (plus 1 for the 2-D product with a
     transverse segment); the declared content is the mass-distribution bound,
-    see `hausdorff_content`.
+    see `hausdorff_content`. A fault in `placement` = (a, b) names its end.
     """
     if not (0 < ratio < 0.5):
-        raise ValueError(f"Cantor ratio must lie in (0, 1/2), got {ratio}")
+        raise ArgumentError("ratio", f"Cantor ratio must lie in (0, 1/2), got {ratio}")
     if levels < 1:
-        raise ValueError("need at least one construction level")
+        raise ArgumentError("levels", "need at least one construction level")
     if placement is None:
         placement = (0.0, domain.lengths[0])
     a, b = float(placement[0]), float(placement[1])
-    if not (0 <= a < b <= domain.lengths[0] + 1e-12):
-        raise ValueError("placement interval must sit inside the domain")
+    if not 0 <= a:
+        raise ArgumentError("a", "placement interval must start inside the domain")
+    if not a < b <= domain.lengths[0] + 1e-12:
+        raise ArgumentError("b", "placement interval must end above its start, inside the domain")
     iv = _cantor_intervals(ratio, levels, a, b)
     s_nat = np.log(2.0) / np.log(1.0 / ratio)
     meta = {"ratio": float(ratio), "levels": int(levels), "placement": (a, b),
@@ -210,7 +217,7 @@ def cantor_set(domain: Domain, ratio: float, levels: int,
             transverse = (0.0, domain.lengths[1])
         t0, t1 = float(transverse[0]), float(transverse[1])
         if not (0 <= t0 < t1 <= domain.lengths[1] + 1e-12):
-            raise ValueError("transverse segment must sit inside the domain")
+            raise ArgumentError("transverse", "transverse segment must sit inside the domain")
         meta["transverse"] = (t0, t1)
         ys = domain.axes[1][(domain.axes[1] >= t0 - 1e-12) & (domain.axes[1] <= t1 + 1e-12)]
         xx, yy = np.meshgrid(iv[:, 0], ys, indexing="ij")
@@ -231,12 +238,13 @@ def point_cloud(domain: Domain, coords) -> ObservationSet:
     coords = np.asarray(coords, dtype=float)
     d = domain.dimension
     if coords.ndim != 2 or coords.shape[1] != d:
-        raise ValueError(f"expected a list of points with {d} coordinates each, "
-                         f"got an array of shape {coords.shape}")
+        raise ArgumentError("coords", f"expected a list of points with {d} coordinates "
+                            f"each, got an array of shape {coords.shape}")
     if coords.shape[0] == 0:
         raise EmptySetError("point cloud is empty")
     if not np.all((coords >= -1e-12) & (coords <= np.asarray(domain.lengths) + 1e-12)):
-        raise ValueError("every point must be finite and lie in the domain's closed box")
+        raise ArgumentError("coords",
+                            "every point must be finite and lie in the domain's closed box")
     nodes, snap = _snap_to_unknowns(domain, coords)
     margin = float(domain.boundary_distance(domain.node_coords(nodes)).min())
     return ObservationSet(POINT_CLOUD, domain, 0.0, points=nodes, point_coords=coords,

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 import heatlab.experiments
 import heatlab.spectrum
 from heatlab.cli import main
-from heatlab.errors import ConfigError
+from heatlab.errors import ConfigError, EmptySetError
 from heatlab.experiments import _setup, run
 
 INTERVAL = {"kind": "interval", "length": math.pi, "cells": 120, "bc": "dirichlet"}
@@ -136,6 +137,51 @@ BAD_SETS = [
     ({"kind": "interval", "from": 0.0}, INTERVAL, "set.to"),
     ({"kind": "cantor", "ratio": 0.3}, INTERVAL, "set.levels"),
 ]
+
+
+def without(spec, field):
+    return {k: v for k, v in spec.items() if k != field}
+
+
+# faults inside a nested section, each named <section>.<field>; they used to be
+# named without their section, carry Python's or numpy's message, or pass (a
+# JSON true read as 1)
+BAD_NESTED = [
+    (dict(SPECTRUM, domain=without(INTERVAL, "length")), "domain.length", "domain-length-missing"),
+    (dict(SPECTRUM, domain=without(INTERVAL, "bc")), "domain.bc", "domain-bc-missing"),
+    (dict(SPECTRUM, domain=without(SQUARE, "ny")), "domain.ny", "domain-ny-missing"),
+    (dict(SPECTRUM, domain=dict(INTERVAL, length=-1.0)), "domain.length", "domain-length-negative"),
+    (dict(SPECTRUM, domain=dict(INTERVAL, length=True)), "domain.length", "domain-length-true"),
+    (dict(SPECTRUM, domain=dict(INTERVAL, length=10 ** 400)), "domain.length",
+     "domain-length-overflows"),
+    (dict(SPECTRUM, domain=dict(INTERVAL, cells=1)), "domain.cells", "domain-cells-one"),
+    (dict(SPECTRUM, domain=dict(INTERVAL, cells=True)), "domain.cells", "domain-cells-true"),
+    (dict(SWEEP, lambda_grid={"min": 1.5, "max": 6.5}), "lambda_grid.count", "grid-count-missing"),
+    (dict(SWEEP, lambda_grid={"min": 1.5, "max": 6.5, "count": True}), "lambda_grid.count",
+     "grid-count-true"),
+    (dict(SWEEP, lambda_grid=[True, 2.0, 3.0, 4.0, 5.0]), "lambda_grid", "grid-list-true"),
+    (dict(CONTROL, schedule={"rho": 0.5, "steps": 3}), "schedule.T", "schedule-t-missing"),
+    (dict(CONTROL, schedule={"T": 1.0, "rho": 0.5}), "schedule.steps", "schedule-steps-missing"),
+    (dict(CONTROL, schedule={"T": 1.0, "rho": 0.5, "steps": True}), "schedule.steps",
+     "schedule-steps-true"),
+    (dict(SWEEP, domain=SQUARE, set={"kind": "box", "x0": 0.0, "x1": "a", "y0": 0.0, "y1": 1.0}),
+     "set.x1", "box-x1-not-a-number"),
+    (dict(SWEEP, set={"kind": "interval", "from": "0", "to": 1.0}), "set.from",
+     "interval-from-a-string"),
+    (dict(SWEEP, set={"kind": "cantor", "ratio": 0.3, "levels": True}), "set.levels",
+     "cantor-levels-true"),
+    (dict(SWEEP, set={"kind": "random", "measure": True}), "set.measure", "random-measure-true"),
+    # geometry faults on the unit square
+    (dict(SWEEP, domain=SQUARE, set={"kind": "cantor", "ratio": 0.3, "levels": 3,
+                                     "transverse": [0.5, 2.0]}), "set.transverse",
+     "transverse-outside"),
+    (dict(SWEEP, domain=SQUARE, set={"kind": "cantor", "ratio": 0.3, "levels": 3,
+                                     "from": 0.5, "to": 3.0}), "set.to", "cantor-to-outside"),
+    (dict(SWEEP, domain=SQUARE, set={"kind": "box", "x0": 0.5, "x1": 0.2, "y0": 0.0, "y1": 1.0}),
+     "set.x1", "box-x1-below-x0"),
+    (dict(SWEEP, domain=SQUARE, set={"kind": "interval", "from": 0.5, "to": 0.5}), "set.to",
+     "interval-to-at-from"),
+]
 # coefficient faults that used to end in a traceback (exit 1)
 BAD_COEFFICIENTS = [
     dict(LIPSCHITZ, lip_g="x"),
@@ -179,9 +225,9 @@ BAD_COEFFICIENTS = [
     (dict(CONTROL, u0={"kind": "mode", "k": 9}), "u0.k"),
     (dict(CONTROL, u0={"kind": "mode", "amplitude": "big"}), "u0.amplitude"),
     (dict(INTERP, t="soon"), "t"),
-    (dict(SWEEP, set={"kind": "interval", "from": "a", "to": 1.0}), "set"),
-    (dict(SWEEP, domain=dict(INTERVAL, length="pi")), "domain"),
-    (dict(SWEEP, lambda_grid={"min": "a", "max": 3.0, "count": 5}), "lambda_grid"),
+    (dict(SWEEP, set={"kind": "interval", "from": "a", "to": 1.0}), "set.from"),
+    (dict(SWEEP, domain=dict(INTERVAL, length="pi")), "domain.length"),
+    (dict(SWEEP, lambda_grid={"min": "a", "max": 3.0, "count": 5}), "lambda_grid.min"),
     (dict(SPECTRUM, out=7), "out"),
     *((dict(SPECTRUM, coefficients=c), f"coefficients.{f}") for c, f in zip(
         BAD_COEFFICIENTS, ["lip_g", "lip_g", "g_base", "kappa_base", "seed"])),
@@ -189,9 +235,11 @@ BAD_COEFFICIENTS = [
      "coefficients.lip_g"),
     (dict(SPECTRUM, coefficients=dict(LIPSCHITZ, lip_kappa=-1.0)), "coefficients.lip_kappa"),
     (dict(SPECTRUM, coefficients=dict(CONST, kappa="a")), "coefficients.kappa"),
+    (dict(SPECTRUM, coefficients=dict(CONST, g=[[True]])), "coefficients.g"),
     (dict(SPECTRUM, coefficients={"kind": "sampled", "csv": 7}), "coefficients.csv"),
     (dict(SPECTRUM, coefficients={"kind": "mystery"}), "coefficients.kind"),
     *((dict(SWEEP, domain=domain, set=set_), f) for set_, domain, f in BAD_SETS),
+    *((cfg, f) for cfg, f, _ in BAD_NESTED),
 ], ids=["unknown-set-kind", "sup-on-mask", "unknown-norm", "unknown-control-mode",
         "double-on-rectangle", "s-above-t", "s-equals-t", "epsilon-above-one", "unknown-u0-kind",
         "unknown-v0-kind", "chart-s-max-zero", "chart-n-z-one", "chart-n-s-zero",
@@ -204,11 +252,11 @@ BAD_COEFFICIENTS = [
         "domain-length-not-a-number", "grid-min-not-a-number", "out-not-a-path",
         "lip-g-not-a-number", "lip-g-null", "g-base-not-a-number", "kappa-base-null",
         "coefficient-seed-set", "lip-g-missing", "lip-kappa-negative",
-        "kappa-not-a-number", "csv-not-a-path", "unknown-coefficient-kind",
+        "kappa-not-a-number", "g-matrix-true", "csv-not-a-path", "unknown-coefficient-kind",
         "coords-flat-list", "coords-empty", "coords-flat-nan", "coords-nan",
         "coords-flat-outside", "coords-outside", "coords-2d-one-coordinate", "coords-missing",
         "transverse-not-a-pair", "box-x1-missing", "interval-to-missing",
-        "cantor-levels-missing"])
+        "cantor-levels-missing", *(name for *_, name in BAD_NESTED)])
 def test_config_errors_raise_before_the_eigensolve(tmp_path, monkeypatch, cfg, field):
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("eigensolve reached on an invalid config")
@@ -217,6 +265,13 @@ def test_config_errors_raise_before_the_eigensolve(tmp_path, monkeypatch, cfg, f
     with pytest.raises(ConfigError) as err:
         run(dict(cfg), out_dir=tmp_path / "bad")
     assert err.value.field == field
+
+
+def test_box_without_a_whole_cell_is_an_empty_set():
+    # well ordered, so not a config fault: the support is too small for the grid
+    box = {"kind": "box", "x0": 0.5, "x1": 0.55, "y0": 0.0, "y1": 1.0}
+    with pytest.raises(EmptySetError):
+        _setup(dict(SWEEP, domain=SQUARE, set=box))
 
 
 def test_double_check_chart_at_the_smallest_accepted_grid(tmp_path):
@@ -323,6 +378,61 @@ def test_shipped_configs_pass_setup(monkeypatch, path):
     monkeypatch.setattr(heatlab.experiments, "compute_spectrum", reached)
     with pytest.raises(EigensolveReached):
         _setup(json.loads(path.read_text()))
+
+
+def config_keys(node, path=()):
+    """(path, value) of every key at every depth of a config; the path of a
+    list element ends in its index."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from config_keys(value, path + (key,))
+
+
+DELETE = object()
+MUTATIONS = {"delete": DELETE, "x": "x", "true": True, "null": None}
+
+
+def mutated(cfg, path, new):
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if new is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = new
+    return cfg
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_every_config_mutation_names_its_field(monkeypatch, path):
+    # Each key of a shipped config, at every depth, is deleted and set to "x",
+    # true and null in turn. Each mutated config reaches the eigensolve or
+    # raises ConfigError naming the key's dotted field; a list element is
+    # named by its list's field. true never passes, nor does "x" in place of
+    # anything but a string. No key is exempt.
+    def reached(*args, **kwargs):
+        raise EigensolveReached
+    monkeypatch.setattr(heatlab.experiments, "compute_spectrum", reached)
+    cfg = json.loads(path.read_text())
+    wrong = []
+    for where, value in config_keys(cfg):
+        field = ".".join(k for k in where if isinstance(k, str))
+        for name, new in MUTATIONS.items():
+            try:
+                _setup(mutated(cfg, where, new))
+            except EigensolveReached:
+                outcome = None
+            except ConfigError as exc:
+                outcome = exc.field
+            except Exception as exc:
+                outcome = type(exc).__name__
+            must_raise = new is True or new == "x" and not isinstance(value, str)
+            if outcome != field and (outcome is not None or must_raise):
+                wrong.append(f"{field} {name}: {outcome or 'accepted'}")
+    assert wrong == []
 
 
 SQUARE_24 = {"kind": "rectangle", "lx": math.pi, "ly": math.pi, "nx": 24, "ny": 24,

@@ -182,7 +182,7 @@ def test_simulate_single_impulse_kills_single_mode(setup):
     t_imp = 0.4
     sc = step(spec, obs, spec.frequencies[0] + 0.1, heat(spec, u0, t_imp), time=t_imp)
     sched = ControlSchedule([sc], 1.0, obs, spec.coefficients(u0),
-                            np.zeros(spec.n_modes), 0.0, 0.0, np.zeros(1))
+                            np.zeros(spec.n_modes), 0.0, 0.0)
     sim = simulate(spec, u0, sched)
     assert np.abs(sim.terminal_coeffs).max() <= 1e-12
 
@@ -227,12 +227,12 @@ def test_cost_report_empty_and_single(setup):
     dom, op, spec = setup
     obs = full_domain_set(dom, kappa_of(spec))
     empty = ControlSchedule([], 1.0, obs, np.zeros(spec.n_modes),
-                            np.zeros(spec.n_modes), 0.0, 0.0, np.zeros(0))
+                            np.zeros(spec.n_modes), 0.0, 0.0)
     led = cost_report(empty, 0.5)
     assert led.total == 0.0 and led.converged
     sc = step(spec, obs, spec.frequencies[0] + 0.1, spec.vectors[:, 0], time=0.6)
     single = ControlSchedule([sc], 1.0, obs, np.zeros(spec.n_modes),
-                             np.zeros(spec.n_modes), 0.0, 0.0, np.zeros(1))
+                             np.zeros(spec.n_modes), 0.0, 0.0)
     led1 = cost_report(single, 0.5)
     assert led1.total == pytest.approx(np.exp(0.5 / 0.4) * sc.total_variation, rel=1e-9)
 

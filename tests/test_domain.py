@@ -116,6 +116,9 @@ def test_build_coefficients_dispatch():
     assert cf2.measured_lip_kappa <= 1.0 + 1e-12
     ref = random_lipschitz_coefficients(dom, 1.0, 1.0, seed=11)
     assert np.array_equal(cf2.kappa, ref.kappa) and np.array_equal(cf2.g, ref.g)
+    square = build_rectangle(1.0, 1.0, 4, 4, DIRICHLET)
+    cf3 = build_coefficients(square, {"kind": "constant", "g": [[2, 0], [0, 1.5]]}, seed=0)
+    assert np.array_equal(cf3.g, constant_coefficients(square, [[2.0, 0.0], [0.0, 1.5]]).g)
     with pytest.raises(ConfigError) as err:
         build_coefficients(dom, {"kind": "mystery"}, seed=0)
     assert err.value.field == "coefficients.kind"

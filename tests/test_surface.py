@@ -1,18 +1,33 @@
 """The public surface stays reachable: every name `heatlab` exports, and every
 public top-level function or class of its modules, is used by the package
-itself outside its own definition, or is listed below with the acceptance
-criterion or roadmap item it backs."""
+itself outside its own definition, and every field of its dataclasses is read
+by the package, its tests or the benchmark; or the name is listed below with
+the acceptance criterion or roadmap item it backs."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heatlab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "heatlab"
 
 LIBRARY_ONLY = {
     "telescope_check": "backs acceptance criterion 06 (telescoped observability)",
     "phung_wang_times": "backs acceptance criterion 11 (Phung-Wang times on a fat Cantor set)",
     "hausdorff_content": "the paper's d - delta content hypothesis on E; run telemetry "
                          "(ROADMAP item 4) records it",
+}
+
+_REPLAY = "the nodal control replay (ROADMAP item 1) applies each payload on its support"
+_TELESCOPE = ("the fit that telescope_check reports for criterion 06: the weighted "
+              "observation terms and the two-time constants behind step_residuals")
+UNREAD_FIELDS = {
+    "StepControl.support": _REPLAY,
+    "ControlSchedule.support": _REPLAY,
+    "WindowControl.support": _REPLAY,
+    "DistributedResult.fubini": "the distributed nodal replay (ROADMAP item 1) reads its slabs",
+    "ObservationSet.boundary_margin": "run telemetry (ROADMAP item 4) records it",
+    **{f"TelescopeReport.{f}": _TELESCOPE
+       for f in ("obs_terms", "fitted_a", "fitted_b", "d_multiple", "c_steps")},
 }
 
 
@@ -63,3 +78,28 @@ def test_library_only_names_are_exported_and_still_unused():
     used = set().union(*(references(tree) for tree in trees.values()))
     assert set(LIBRARY_ONLY) <= exported_names()
     assert not set(LIBRARY_ONLY) & used
+
+
+def dataclass_fields(trees):
+    return {f"{node.name}.{item.target.id}" for tree in trees.values() for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            for item in node.body if isinstance(item, ast.AnnAssign)}
+
+
+def attributes_read():
+    """Every attribute name loaded in the package, its tests or the benchmark."""
+    return {node.attr for folder in ("src", "tests", "perfbench")
+            for path in (ROOT / folder).rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read_or_has_a_reason():
+    # A field counts as read when any attribute load names it, on any object,
+    # so a field this test flags is read nowhere at all.
+    read = attributes_read()
+    unread = {f for f in dataclass_fields(module_trees()) if f.split(".")[1] not in read}
+    assert sorted(unread - set(UNREAD_FIELDS)) == [], "dataclass fields nothing reads"
+    # an allow-listed field that gains a reader, or is deleted, comes off the list
+    assert sorted(set(UNREAD_FIELDS) - unread) == []
