@@ -41,7 +41,6 @@ from .inequality import (
     constant_l2,
     constant_sup,
     fit_growth,
-    fubini_slices,
     interpolation_check,
     phung_wang_times,
     telescope_check,

@@ -1,6 +1,6 @@
 """Constructive null control: impulsive minimum-norm moment controls at
 geometric times (low band killed exactly, high band left to dissipate) and
-their smeared-in-time variant on space-time masks, with exponential cost
+their smeared-in-time variant on E x (0, T), with exponential cost
 bookkeeping.
 
 Controls steer the state onto the free trajectory of the target: the tracked
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SynthesisFailureError
-from .inequality import TimeSequence, fubini_slices
-from .obsets import CELL_MASK, ObservationSet, set_from_mask
+from .inequality import TimeSequence
+from .obsets import CELL_MASK, ObservationSet
 from .spectrum import Spectrum
 
 DEFAULT_C_LAMBDA = math.log(65536.0)   # per-step tail decay e^{-c} = 2^-16 <= 1/4
@@ -55,7 +55,6 @@ class StepControl:
 
     time: float
     kind: str                      # "density" or "atoms"
-    support: ObservationSet
     payload: np.ndarray            # density over unknowns (zero off the set) or atom weights
     total_variation: float
     lambda_cutoff: float
@@ -115,7 +114,7 @@ def _solve_step(spectrum: Spectrum, obs: ObservationSet, band: np.ndarray,
         raise SynthesisFailureError(
             f"support cannot reach mode {bad} (moment residual {rel:.2e})",
             mode_index=bad, step_index=step_index)
-    return StepControl(time, kind, obs, payload, tv, lam_cut, rel, gmin, jump)
+    return StepControl(time, kind, payload, tv, lam_cut, rel, gmin, jump)
 
 
 def observable_cutoff(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> float:
@@ -155,7 +154,6 @@ class ControlSchedule:
 
     steps: list
     horizon: float
-    support: ObservationSet
     u0_coeffs: np.ndarray
     v0_coeffs: np.ndarray
     terminal_deficit: float
@@ -204,7 +202,7 @@ def synthesize(spectrum: Spectrum, obs: ObservationSet, schedule: TimeSequence,
     d = d * np.exp(-lam2 * (T - t_prev))
     terminal = float(np.linalg.norm(d))
     rel = terminal / d0 if d0 > 0 else 0.0
-    return ControlSchedule(steps, T, obs, u0c, v0c, terminal, rel)
+    return ControlSchedule(steps, T, u0c, v0c, terminal, rel)
 
 
 @dataclass(eq=False)
@@ -238,7 +236,7 @@ def simulate(spectrum: Spectrum, u0, schedule: ControlSchedule) -> SimulationRes
 
 
 # ---------------------------------------------------------------------------
-# distributed controls on space-time masks
+# distributed controls on E x (0, T)
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
@@ -246,7 +244,6 @@ class WindowControl:
     t_start: float
     t_end: float
     slabs: np.ndarray              # slab indices carrying the control
-    support: ObservationSet
     profile: np.ndarray            # density over unknowns, constant on the slabs
     lambda_cutoff: float
     sup_norm: float
@@ -255,26 +252,24 @@ class WindowControl:
 @dataclass(eq=False)
 class DistributedResult:
     windows: list
-    sup_norm: float                # ||f||_inf over the space-time support
+    sup_norm: float                # ||f||_inf over E x (0, T)
     terminal_deficit: float
     terminal_relative: float
-    fubini: object
 
 
-def distributed_control(spectrum: Spectrum, mask: np.ndarray, schedule: TimeSequence,
-                        u0, v0=None, c_lambda: float = DEFAULT_C_LAMBDA) -> DistributedResult:
-    """Steering by piecewise-constant-in-time densities on the fat slices of a
-    space-time mask over the schedule's horizon T: the windows run from one
-    lr_schedule time to the next (the first from 0, the last to T), and each
-    smears the low-band kill over its admissible time slabs (support: cells
-    present in every used slab).
+def distributed_control(spectrum: Spectrum, obs: ObservationSet, schedule: TimeSequence,
+                        n_slabs: int, u0, v0=None,
+                        c_lambda: float = DEFAULT_C_LAMBDA) -> DistributedResult:
+    """Steering by piecewise-constant-in-time densities on the cell-mask set
+    E over the schedule's horizon T, cut into `n_slabs` equal time slabs: the
+    windows run from one lr_schedule time to the next (the first from 0, the
+    last to T), and each smears the low-band kill over the slabs that lie
+    inside it; a window shorter than one slab carries no control.
     """
-    domain = spectrum.operator.domain
-    kappa = spectrum.operator.coefficients.kappa
     T = schedule.horizon
-    fub = fubini_slices(mask, domain, T)
-    nt = mask.shape[0]
-    dt = T / nt
+    dt = T / n_slabs
+    slab_lo = np.arange(n_slabs) * dt
+    slab_hi = slab_lo + dt
     bounds = np.concatenate([schedule.times, [T]])
     lam2 = spectrum.eigenvalues
 
@@ -291,21 +286,12 @@ def distributed_control(spectrum: Spectrum, mask: np.ndarray, schedule: TimeSequ
         if te <= ts:
             continue
         gap = te - ts
-        # admissible slabs: fat slices whose slab lies inside the window
-        slab_lo = fub.j_slabs * dt
-        slab_hi = slab_lo + dt
-        inside = (slab_lo >= ts - 1e-12) & (slab_hi <= te + 1e-12)
-        slabs = fub.j_slabs[inside]
+        slabs = np.flatnonzero((slab_lo >= ts - 1e-12) & (slab_hi <= te + 1e-12))
         lam_j = math.sqrt(c_lambda / gap)
         band = spectrum.band(lam_j)
         need = band.size and float(np.abs(d[band] * np.exp(-lam2[band] * gap)).max()) > 1e-300
         if need and slabs.size:
-            common = np.all(mask[slabs], axis=0)
-            if not common.any():
-                raise SynthesisFailureError(
-                    f"window ({ts:.4g}, {te:.4g}) has no common slice support")
-            support = set_from_mask(domain, common, kappa)
-            cap = observable_cutoff(spectrum, support, lam_max=lam_j)
+            cap = observable_cutoff(spectrum, obs, lam_max=lam_j)
             lam_j = min(lam_j, cap)
             band = spectrum.band(lam_j)
             # modal accumulation factors of a unit source over the slabs
@@ -318,9 +304,9 @@ def distributed_control(spectrum: Spectrum, mask: np.ndarray, schedule: TimeSequ
                                        b - a)
                 phi += contrib
             targets = -(d[band] * np.exp(-lam2[band] * gap)) / phi[band]
-            sc = _solve_step(spectrum, support, band, targets, ts, step_index=j)
+            sc = _solve_step(spectrum, obs, band, targets, ts, step_index=j)
             d = d * np.exp(-lam2 * gap) + sc.jump * phi
-            win = WindowControl(ts, te, slabs, support, sc.payload, lam_j,
+            win = WindowControl(ts, te, slabs, sc.payload, lam_j,
                                 float(np.abs(sc.payload).max()))
             windows.append(win)
         else:
@@ -329,7 +315,7 @@ def distributed_control(spectrum: Spectrum, mask: np.ndarray, schedule: TimeSequ
     terminal = float(np.linalg.norm(d))
     rel = terminal / d0 if d0 > 0 else 0.0
     sup = max((w.sup_norm for w in windows), default=0.0)
-    return DistributedResult(windows, sup, terminal, rel, fub)
+    return DistributedResult(windows, sup, terminal, rel)
 
 
 # ---------------------------------------------------------------------------

@@ -108,10 +108,6 @@ class _Section:
     def fault(self, field, message):
         return ConfigError(self.name(field), message)
 
-    def item(self, field, value):
-        """A reader of one element of the list `field`, named by the list."""
-        return _Section({field: value}, self.path)
-
     def get(self, field, kind, default=_REQUIRED):
         """The field, checked to be a `kind` (a key of _KIND_NAMES)."""
         if field not in self.spec:
@@ -153,12 +149,18 @@ class _Section:
                              else f"must be an integer in [{least}, {most}]")
         return v
 
-    def numbers(self, field, count=None, default=_REQUIRED, above=None):
-        """A list of finite numbers > `above`, exactly `count` of them when given."""
+    def items(self, field, count=None, default=_REQUIRED):
+        """A reader of each element of the list `field`, named by the list;
+        exactly `count` of them when given."""
         v = self.get(field, list, default)
         if v is not None and count is not None and len(v) != count:
-            raise self.fault(field, f"must be a list of {count} numbers")
-        return v if v is None else [self.item(field, x).number(field, above=above) for x in v]
+            raise self.fault(field, f"must be a list of {count} entries")
+        return v if v is None else [_Section({field: x}, self.path) for x in v]
+
+    def numbers(self, field, count=None, default=_REQUIRED, above=None):
+        """A list of finite numbers > `above`, exactly `count` of them when given."""
+        v = self.items(field, count, default)
+        return v if v is None else [x.number(field, above=above) for x in v]
 
 
 def build_domain(spec) -> object:
@@ -181,9 +183,10 @@ def build_coefficients(domain, spec, seed):
     if "seed" in spec:
         raise sec.fault("seed", "the run's seed draws the coefficients")
     kind = sec.choice("kind", ("constant", "piecewise_linear", "sampled"))
+    d, n = domain.dimension, domain.n_nodes_total
     try:
         if kind == "constant":
-            g = ([sec.item("g", row).numbers("g", domain.dimension) for row in spec["g"]]
+            g = ([row.numbers("g", d) for row in sec.items("g", d)]
                  if isinstance(spec.get("g"), list) else sec.number("g", 1.0, above=0))
             return constant_coefficients(domain, g, sec.number("kappa", 1.0, above=0))
         if kind == "piecewise_linear":
@@ -193,7 +196,8 @@ def build_coefficients(domain, spec, seed):
         lips = sec.number("lip_g", None, least=0), sec.number("lip_kappa", None, least=0)
         if "csv" in spec:
             return load_coefficients_csv(domain, sec.get("csv", str), *lips)
-        return coefficients_from_tables(domain, sec.get("g", list), sec.get("kappa", list), *lips)
+        g = [[row.numbers("g", d) for row in m.items("g", d)] for m in sec.items("g", n)]
+        return coefficients_from_tables(domain, g, sec.numbers("kappa", n), *lips)
     except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(sec.path, str(exc)) from exc
 
@@ -214,8 +218,8 @@ def build_set(domain, spec, seed, kappa):
         if kind == "random":
             return random_set(domain, sec.number("measure"), seed, kappa)
         if kind == "points":
-            return point_cloud(domain, [sec.item("coords", p).numbers("coords", domain.dimension)
-                                        for p in sec.get("coords", list)])
+            return point_cloud(domain, [p.numbers("coords", domain.dimension)
+                                        for p in sec.items("coords")])
         if kind == "cantor":
             placed = "from" in spec or "to" in spec
             return cantor_set(domain, sec.number("ratio"), sec.integer("levels"),
@@ -265,6 +269,8 @@ def _norms(cfg, obs):
     a point cloud."""
     allowed = ("l2", "l1") if obs.kind == CELL_MASK else ("sup",)
     norms = cfg.get("norms", list, [allowed[0]])
+    if not norms:
+        raise cfg.fault("norms", f"a {obs.kind} set takes one or more of {list(allowed)}")
     for nm in norms:
         if nm not in allowed:
             raise cfg.fault("norms", f"a {obs.kind} set takes {list(allowed)}, got {nm!r}")
@@ -556,10 +562,8 @@ def run_control(plan: RunPlan, out: Path, log, threads):
                 - sched.terminal_deficit) <= 1e-12 * max(1.0, sched.terminal_deficit))
         checks["moment_residuals"] = all(s.moment_residual <= 1e-6 for s in sched.steps)
     else:
-        mask = np.zeros(obs.domain.n_cells_total, dtype=bool)
-        mask[obs.cells] = True
-        st_mask = np.tile(mask, (p["time_slabs"], 1))
-        res = distributed_control(spec, st_mask, seq, u0, v0, c_lambda=p["c_lambda"])
+        res = distributed_control(spec, obs, seq, p["time_slabs"], u0, v0,
+                                  c_lambda=p["c_lambda"])
         rows = [(w.t_start, w.t_end, w.lambda_cutoff, w.slabs.size, w.sup_norm)
                 for w in res.windows]
         write_csv(out / "windows.csv",

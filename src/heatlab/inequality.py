@@ -1,6 +1,6 @@
 """Observability constants for low-frequency eigenfunction sums restricted to
 observation sets, exponential growth fits in the frequency cutoff, and the
-interpolation / telescoping / time-slicing machinery that turns them into
+interpolation / telescoping / time-sequence machinery that turns them into
 parabolic observability statements.
 
 Norm conventions: the ambient norm is the kappa-weighted discrete L2 norm
@@ -469,38 +469,3 @@ def phung_wang_times(J, z: float, anchor: float, depth: int = 8) -> TimeSequence
         "at this resolution",
         {"anchor": anchor, "z": z, "depth": depth, "candidates_tried": tried})
 
-
-# ---------------------------------------------------------------------------
-# space-time slicing
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FubiniReport:
-    slice_measures: np.ndarray    # |E_t| per slab
-    threshold: float              # |F| / (2T)
-    j_slabs: np.ndarray           # slab indices with fat slices
-    j_measure: float
-    j_lower_bound: float          # |F| / (2 * support volume)
-
-
-def fubini_slices(mask: np.ndarray, domain, T: float) -> FubiniReport:
-    """Slice a space-time cell mask into per-time spatial sets and collect the
-    times whose slice measure reaches |F| / (2T); their total length is at
-    least |F| / (2 Vol(support)).
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or mask.shape[1] != domain.n_cells_total:
-        raise ValueError(f"mask must be (n_slabs, {domain.n_cells_total})")
-    nt = mask.shape[0]
-    dt = T / nt
-    cellvol = domain.cell_volume
-    slice_measures = mask.sum(axis=1) * cellvol
-    f_measure = float(slice_measures.sum() * dt)
-    if f_measure <= 0:
-        raise ValueError("space-time mask has zero measure")
-    threshold = f_measure / (2 * T)
-    j = np.where(slice_measures >= threshold)[0]
-    support_cells = np.any(mask, axis=0)
-    support_vol = float(np.count_nonzero(support_cells) * cellvol)
-    bound = f_measure / (2 * support_vol)
-    return FubiniReport(slice_measures, threshold, j, float(j.size * dt), bound)

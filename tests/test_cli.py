@@ -66,6 +66,14 @@ def test_control_run_one_mode(tmp_path):
     assert (out / "ledger.csv").exists()
 
 
+def test_control_run_from_the_target_needs_no_control(tmp_path):
+    cfg = dict(CONTROL, u0={"kind": "zero"})
+    summary, checks, _ = run(cfg, out_dir=tmp_path / "z")
+    assert checks and all(checks.values())
+    assert summary["n_controls"] == 0
+    assert summary["terminal_relative"] == 0
+
+
 def test_missing_seed_with_random_initial_state(tmp_path):
     cfg = {"experiment": "control", "domain": INTERVAL, "coefficients": CONST,
            "modes": 8, "set": {"kind": "full"},
@@ -84,6 +92,15 @@ def test_sampled_coefficients_from_csv(tmp_path):
             fh.write(f"{i},1.0,{1.0 + 0.01 * i}\n")
     cf = build_coefficients(dom, {"kind": "sampled", "csv": str(path)}, seed=0)
     assert cf.kappa[6] == pytest.approx(1.06)
+
+
+def test_sampled_tables_run_as_the_constant_field(tmp_path):
+    domain = dict(INTERVAL, cells=20)
+    sampled, constant = (run(dict(SPECTRUM, domain=domain, coefficients=c), out_dir=tmp_path / n)
+                         for c, n in ((SAMPLED, "sampled"), (CONST, "constant")))
+    assert all(sampled[1].values())
+    assert ((sampled[2] / "spectrum.csv").read_bytes()
+            == (constant[2] / "spectrum.csv").read_bytes())
 
 
 def test_missing_seed_with_random_set(tmp_path):
@@ -121,6 +138,7 @@ INTERP = {"experiment": "interp-check", "domain": INTERVAL, "coefficients": CONS
           "t": 0.5, "batch": 2}
 LIPSCHITZ = {"kind": "piecewise_linear", "lip_g": 0.5, "lip_kappa": 0.5}
 SQUARE = {"kind": "rectangle", "lx": 1.0, "ly": 1.0, "nx": 8, "ny": 8, "bc": "dirichlet"}
+SAMPLED = {"kind": "sampled", "g": [[[1.0]]] * 21, "kappa": [1.0] * 21}   # 20-cell interval
 # set faults that used to build a wrong set silently, or end in a traceback
 BAD_SETS = [
     ({"kind": "points", "coords": [0.3, 0.9, 1.4, 2.0, 2.7]}, INTERVAL, "set.coords"),
@@ -181,6 +199,17 @@ BAD_NESTED = [
      "set.x1", "box-x1-below-x0"),
     (dict(SWEEP, domain=SQUARE, set={"kind": "interval", "from": 0.5, "to": 0.5}), "set.to",
      "interval-to-at-from"),
+    # sampled tables on a 20-cell interval, which has 21 nodes
+    (dict(SPECTRUM, domain=dict(INTERVAL, cells=20),
+          coefficients=dict(SAMPLED, g=[["a"]])), "coefficients.g", "sampled-g-not-tables"),
+    (dict(SPECTRUM, domain=dict(INTERVAL, cells=20),
+          coefficients=dict(SAMPLED, g=[[[True]]] * 21)), "coefficients.g", "sampled-g-true"),
+    (dict(SPECTRUM, domain=dict(INTERVAL, cells=20),
+          coefficients=dict(SAMPLED, kappa=[True] * 21)), "coefficients.kappa",
+     "sampled-kappa-true"),
+    (dict(SPECTRUM, domain=dict(INTERVAL, cells=20),
+          coefficients=dict(SAMPLED, kappa=[1.0] * 20)), "coefficients.kappa",
+     "sampled-kappa-short"),
 ]
 # coefficient faults that used to end in a traceback (exit 1)
 BAD_COEFFICIENTS = [
@@ -229,6 +258,11 @@ BAD_COEFFICIENTS = [
     (dict(SWEEP, domain=dict(INTERVAL, length="pi")), "domain.length"),
     (dict(SWEEP, lambda_grid={"min": "a", "max": 3.0, "count": 5}), "lambda_grid.min"),
     (dict(SPECTRUM, out=7), "out"),
+    (dict(SWEEP, norms=[]), "norms"),
+    (dict(SWEEP, lambda_grid=[3, 2, 4, 5, 6]), "lambda_grid"),
+    (dict(SWEEP, lambda_grid={"min": 5, "max": 3, "count": 5}), "lambda_grid"),
+    (dict(CONTROL, mode="distributed", set={"kind": "cantor", "ratio": 0.3, "levels": 3}),
+     "set"),
     *((dict(SPECTRUM, coefficients=c), f"coefficients.{f}") for c, f in zip(
         BAD_COEFFICIENTS, ["lip_g", "lip_g", "g_base", "kappa_base", "seed"])),
     (dict(SPECTRUM, coefficients={"kind": "piecewise_linear", "lip_kappa": 0.5}),
@@ -250,6 +284,7 @@ BAD_COEFFICIENTS = [
         "spectrum-count-zero", "spectrum-count-above-unknowns", "u0-mode-above-modes",
         "u0-amplitude-not-a-number", "t-not-a-number", "set-bound-not-a-number",
         "domain-length-not-a-number", "grid-min-not-a-number", "out-not-a-path",
+        "norms-empty", "grid-list-not-increasing", "grid-min-above-max", "distributed-on-cantor",
         "lip-g-not-a-number", "lip-g-null", "g-base-not-a-number", "kappa-base-null",
         "coefficient-seed-set", "lip-g-missing", "lip-kappa-negative",
         "kappa-not-a-number", "g-matrix-true", "csv-not-a-path", "unknown-coefficient-kind",
@@ -549,6 +584,15 @@ def test_interp_check_run(tmp_path):
     summary, checks, out = run(cfg, out_dir=tmp_path / "i")
     assert all(checks.values())
     assert math.isfinite(summary["n_sup"])
+
+
+def test_interp_check_on_a_cantor_cloud(tmp_path):
+    # a point cloud takes the sup of the field over its points
+    cfg = dict(INTERP, domain=dict(INTERVAL, cells=40),
+               set={"kind": "cantor", "ratio": 0.3, "levels": 3})
+    _, checks, _ = run(cfg, out_dir=tmp_path / "c")
+    assert sorted(checks) == ["all_hold", "minimizer_identity", "split_nonnegative"]
+    assert all(checks.values())
 
 
 def test_distributed_control_run(tmp_path):

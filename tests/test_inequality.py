@@ -16,7 +16,6 @@ from heatlab import (
     constant_l2,
     constant_sup,
     fit_growth,
-    fubini_slices,
     full_domain_set,
     interpolation_check,
     interval_mask,
@@ -435,26 +434,3 @@ def test_phung_wang_invalid_ratio():
     with pytest.raises(ValueError):
         phung_wang_times([(0.0, 1.0)], z=1.0, anchor=0.0)
 
-
-def test_fubini_product_mask():
-    dom = build_interval(np.pi, 60, DIRICHLET)
-    spatial = interval_mask(dom, 0.0, 1.5)
-    mask = np.tile(spatial, (24, 1))
-    rep = fubini_slices(mask, dom, T=1.0)
-    assert rep.j_slabs.size == 24
-    assert rep.j_measure >= rep.j_lower_bound - 1e-12
-
-
-def test_fubini_random_mask_bound():
-    dom = build_interval(1.0, 80, DIRICHLET)
-    rng = np.random.default_rng(5)
-    mask = rng.random((30, 80)) < 0.5
-    rep = fubini_slices(mask, dom, T=2.0)
-    assert rep.j_measure >= rep.j_lower_bound - 1e-12
-    assert np.all(rep.slice_measures[rep.j_slabs] >= rep.threshold)
-
-
-def test_fubini_empty_mask():
-    dom = build_interval(1.0, 10, DIRICHLET)
-    with pytest.raises(ValueError):
-        fubini_slices(np.zeros((5, 10), dtype=bool), dom, T=1.0)

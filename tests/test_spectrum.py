@@ -179,6 +179,36 @@ def test_band_solve_that_skips_a_mode_raises(monkeypatch):
         compute_spectrum(op, count=20)
 
 
+@pytest.mark.parametrize("request_, band", [
+    ({"count": 100}, False),
+    ({"lam_max": 60.2}, False),   # between the 60th and 61st frequencies
+    ({"count": 50}, True),
+], ids=["count-wide", "lam_max-wide", "count-narrow"])
+def test_wide_band_falls_back_to_the_dense_solve(request_, band, monkeypatch):
+    # 599 unknowns: a band of more than _BAND_MAX_SHARE * 599 modes is solved densely
+    dom, op, full = interval_spectrum(600)
+    assert op.n >= spectrum_module._BAND_MIN_UNKNOWNS
+    m = request_.get("count") or int(np.count_nonzero(full.frequencies <= request_["lam_max"]))
+    assert (m <= spectrum_module._BAND_MAX_SHARE * op.n) == band
+    if band:
+        band_only(monkeypatch)
+    else:
+        def no_eigsh(*args, **kwargs):
+            raise AssertionError("band eigensolve on a wide band")
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_eigsh)
+    spec = compute_spectrum(op, **request_)
+    assert spec.n_modes == m
+    if band:
+        assert np.allclose(spec.eigenvalues, full.eigenvalues[:m], rtol=1e-10, atol=0)
+        # each mode's largest entries come in mirrored pairs on this interval,
+        # so round-off picks its sign
+        overlap = np.diag(full.vectors[:, :m].T @ (op.w[:, None] * spec.vectors))
+        assert np.abs(np.abs(overlap) - 1).max() <= 1e-10
+    else:
+        assert np.array_equal(spec.eigenvalues, full.eigenvalues[:m])
+        assert np.array_equal(spec.vectors, full.vectors[:, :m])
+
+
 def test_heat_semigroup_law_and_contraction():
     dom, op, spec = interval_spectrum(40)
     rng = np.random.default_rng(5)

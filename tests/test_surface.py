@@ -17,14 +17,9 @@ LIBRARY_ONLY = {
                          "(ROADMAP item 4) records it",
 }
 
-_REPLAY = "the nodal control replay (ROADMAP item 1) applies each payload on its support"
 _TELESCOPE = ("the fit that telescope_check reports for criterion 06: the weighted "
               "observation terms and the two-time constants behind step_residuals")
 UNREAD_FIELDS = {
-    "StepControl.support": _REPLAY,
-    "ControlSchedule.support": _REPLAY,
-    "WindowControl.support": _REPLAY,
-    "DistributedResult.fubini": "the distributed nodal replay (ROADMAP item 1) reads its slabs",
     "ObservationSet.boundary_margin": "run telemetry (ROADMAP item 4) records it",
     **{f"TelescopeReport.{f}": _TELESCOPE
        for f in ("obs_terms", "fitted_a", "fitted_b", "d_multiple", "c_steps")},
