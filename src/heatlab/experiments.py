@@ -87,6 +87,7 @@ def write_csv(path: Path, header, rows):
 
 
 _REQUIRED = object()
+_INT64 = np.iinfo(np.int64)
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
                (int, float): "a number"}
 
@@ -142,8 +143,10 @@ class _Section:
         return v if v is None else float(v)
 
     def integer(self, field, default=_REQUIRED, least=None, most=None):
-        """An integer in [least, most] (no bound where None)."""
+        """An integer in [least, most] (no bound where None) that fits in int64."""
         v = self.get(field, int, default)
+        if v is not None and not _INT64.min <= v <= _INT64.max:
+            raise self.fault(field, "must be an integer that fits in 64 bits")
         if v is not None and not ((least is None or v >= least) and (most is None or v <= most)):
             raise self.fault(field, f"must be an integer >= {least}" if most is None
                              else f"must be an integer in [{least}, {most}]")
@@ -445,6 +448,7 @@ def run_constant_sweep(plan: RunPlan, out: Path, log, threads):
             by_size = dict(zip(lowest, pool.map(lambda lam: one(nm, lam), lowest.values())))
             if nm == "sup":
                 log(f"sup: {sum(c.lp_solved for c in by_size.values())} LPs solved, "
+                    f"{sum(c.lp_certified for c in by_size.values())} certified, "
                     f"{sum(c.lp_pruned for c in by_size.values())} pruned")
                 by_size = {k: c.value for k, c in by_size.items()}
             consts = [by_size[k] for k in sizes]

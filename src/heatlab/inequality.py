@@ -23,6 +23,7 @@ from .spectrum import Spectrum
 
 GRAM_SINGULAR = 1e-14   # below this the restricted Gram is reported unobservable
 LP_FEASIBILITY_TOL = 1e-7   # HiGHS primal/dual feasibility tolerance: slack on pruned bounds
+_BASIS_MAX_COND = 1e4   # a sup basis beyond this (solve error ~cond*eps > 2e-12) is left to HiGHS
 _L1_RESTARTS = 16       # IRLS starts: the Gram minimizer plus seeded random ones
 _L1_MAX_ITER = 200      # IRLS iterations per start
 _L1_TOL = 1e-8          # relative change of the L1 norm that ends a start
@@ -157,29 +158,45 @@ def constant_l1(spectrum: Spectrum, obs: ObservationSet, lam_max: float,
 class SupConstant:
     value: float
     lp_solved: int      # linear programs handed to the solver
-    lp_pruned: int      # grid nodes whose linear program was never solved
+    lp_certified: int   # grid nodes settled by the optimal basis of another node's LP
+    lp_pruned: int      # grid nodes neither solved nor certified
 
 
 def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> SupConstant:
     """Exact discrete constant sup { ||phi||_inf : phi in the band,
     |phi| <= 1 on the cloud }, the maximum over grid nodes y of the linear
-    program g(V[y]) = max { V[y] u : |P u| <= 1 }, where V is the band basis
-    and P its m cloud rows.
+    program g(V[y]) = max { V[y] u : A u <= 1 }, where V is the band basis,
+    P its m cloud rows and A = [P; -P].
 
-    Only nodes that can still win are solved. LP duality bounds g for every
+    Only nodes that can still win are settled. LP duality bounds g for every
     node at once: for any lambda, g(c) <= ||lambda||_1 +
     ||c - P^T lambda||_2 sqrt(m) / sigma_min(P), taken at
-    lambda = pinv(P^T) c. g is sublinear, so each solved node y0 tightens
+    lambda = pinv(P^T) c. g is sublinear, so each settled node y0 tightens
     the bound to g(V[y0]) + bound(V[y] - V[y0]). An ascent from the node
     with the largest bound (solve, jump to argmax |V u*|, until a node
-    repeats) finds a large value early; the other nodes are then solved in
+    repeats) finds a large value early; the other nodes are then settled in
     order of decreasing bound while the bound reaches the best value within
     the solver's feasibility tolerance. A skipped node is certified not to
-    beat the best, so the value is that of one LP per node. A rank-deficient
-    P makes every bound infinite, so every node is solved until the first
-    unbounded LP. Returns inf when some band combination vanishes on the
-    whole cloud. `lp_solved` and `lp_pruned` count the nodes solved and
-    skipped.
+    beat the best, so the value is that of one LP per node.
+
+    Most nodes share their optimal vertex, so one solve settles many. After
+    each HiGHS solve, k independent rows of A active at its vertex (picked
+    by QR with column pivoting) form a basis B with vertex u_B = A_B^-1 1,
+    kept only if u_B is feasible within the solver's tolerance and
+    cond(A_B) <= _BASIS_MAX_COND. Row y of V A_B^-1 is the dual lambda of
+    node y on B; lambda >= 0 proves u_B optimal for y (basis optimality:
+    V[y] u = lambda A_B u <= lambda 1 = V[y] u_B for every feasible u), so
+    g(V[y]) = V[y] u_B with no LP and no tolerance. Every open node is
+    tested against each new basis, which is then dropped: its verdict on a
+    node never changes. The solved node takes its value from its basis too,
+    unless that basis does not certify it, or its vertex has fewer than k
+    active rows or an ill-conditioned or infeasible basis; then it keeps the
+    solver's value.
+
+    A rank-deficient P makes every bound infinite, so every node is settled
+    until the first unbounded LP. Returns inf when some band combination
+    vanishes on the whole cloud. `lp_solved`, `lp_certified` and `lp_pruned`
+    count the nodes solved, certified and skipped; they add up to the nodes.
     """
     band = _band(spectrum, lam_max)
     V = spectrum.vectors[:, band]
@@ -194,30 +211,68 @@ def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> Sup
 
     def bound(dual_rows, resid_rows):
         with np.errstate(invalid="ignore"):   # 0 * inf: a zero residual proves nothing
-            slack = np.linalg.norm(resid_rows, axis=1) * scale
-        return np.abs(dual_rows).sum(axis=1) + np.where(np.isnan(slack), np.inf, slack)
+            slack = np.linalg.norm(resid_rows, axis=-1) * scale
+        return np.abs(dual_rows).sum(axis=-1) + np.where(np.isnan(slack), np.inf, slack)
 
     A_ub = np.vstack([P, -P])
     b_ub = np.ones(2 * m)
     bounds = [(None, None)] * k
-    n = V.shape[0]
-    upper = bound(dual, resid)
-    best, solved = 0.0, 0
+    upper = bound(dual, resid)            # -inf marks a settled node
+    best, solved, certified = 0.0, 0, 0
+
+    def settle(nodes, values):
+        """Record the exact values g at `nodes` and chain them onto the open bounds."""
+        nonlocal best
+        best = max(best, values.max())
+        upper[nodes] = -np.inf
+        open_ = np.flatnonzero(upper > -np.inf)
+        chained = values[:, None] + bound(dual[open_] - dual[nodes, None],
+                                          resid[open_] - resid[nodes, None])
+        upper[open_] = np.minimum(upper[open_], chained.min(axis=0))
+
+    def basis(res):
+        """(u_B, V A_B^-1) for k independent rows active at the solver's
+        vertex, or None. Rows that carry the solver's dual are pivoted first
+        (weighted by a power of two, so unweighting is exact): at a
+        degenerate vertex B is then the solver's own optimal basis."""
+        on = A_ub @ res.x >= 1 - 1e-9
+        if on.sum() < k:
+            return None
+        w = np.where(res.ineqlin.marginals[on] != 0, 2.0 ** 20, 1.0)
+        q, r, piv = scipy.linalg.qr(A_ub[on].T * w, mode="economic", pivoting=True)
+        R = r[:, :k] / w[piv[:k]]         # A_B^T = q R, so A_B^-1 = q R^-T
+        if not np.linalg.cond(R) <= _BASIS_MAX_COND:
+            return None
+        u = q @ scipy.linalg.solve_triangular(R, np.ones(k), trans="T")
+        if np.abs(P @ u).max() > 1 + LP_FEASIBILITY_TOL:
+            return None
+        return u, scipy.linalg.solve_triangular(R, q.T @ V.T).T
+
     y, ascending = int(np.argmax(upper)), True
     while True:
         res = scipy.optimize.linprog(-V[y], A_ub=A_ub, b_ub=b_ub, bounds=bounds,
                                      method="highs")
         solved += 1
+        upper[y] = -np.inf
         # u = 0 is feasible, so an infeasibility verdict (HiGHS presolve gives
         # one for some unbounded LPs) can only be the dual's: unbounded as well
         if res.status in (2, 3):
-            return SupConstant(float("inf"), solved, n - solved)
+            return SupConstant(float("inf"), solved, certified, int(np.sum(upper > -np.inf)))
         if res.status != 0:
             raise NumericalFailureError(f"sup-constant LP failed at node {y}",
                                         {"status": res.status, "message": res.message})
-        best = max(best, -res.fun)
-        upper = np.minimum(upper, -res.fun + bound(dual - dual[y], resid - resid[y]))
-        upper[y] = -np.inf                # marks a solved node
+        nodes, values = np.array([y]), np.array([-res.fun])
+        found = basis(res)
+        if found is not None:
+            u, lam = found
+            proven = np.all(lam >= 0, axis=1)
+            if proven[y]:                 # y too takes its value from the vertex
+                values[0] = V[y] @ u
+            proven &= upper > -np.inf
+            certified += int(proven.sum())
+            nodes = np.append(nodes, np.flatnonzero(proven))
+            values = np.append(values, V[proven] @ u)
+        settle(nodes, values)
         if ascending:                     # jump to where u* peaks until a node repeats
             y = int(np.argmax(np.abs(V @ res.x)))
             ascending = upper[y] > -np.inf
@@ -225,7 +280,7 @@ def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> Sup
             y = int(np.argmax(upper))
             if upper[y] < best * (1 - LP_FEASIBILITY_TOL):
                 break
-    return SupConstant(float(best), solved, n - solved)
+    return SupConstant(float(best), solved, certified, int(np.sum(upper > -np.inf)))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,8 @@ BAD_NESTED = [
      "domain-length-overflows"),
     (dict(SPECTRUM, domain=dict(INTERVAL, cells=1)), "domain.cells", "domain-cells-one"),
     (dict(SPECTRUM, domain=dict(INTERVAL, cells=True)), "domain.cells", "domain-cells-true"),
+    (dict(SPECTRUM, domain=dict(INTERVAL, cells=10 ** 400)), "domain.cells",
+     "domain-cells-beyond-int64"),
     (dict(SWEEP, lambda_grid={"min": 1.5, "max": 6.5}), "lambda_grid.count", "grid-count-missing"),
     (dict(SWEEP, lambda_grid={"min": 1.5, "max": 6.5, "count": True}), "lambda_grid.count",
      "grid-count-true"),
@@ -525,9 +527,14 @@ def test_sup_sweep_logs_lp_counts(tmp_path):
     log1 = (out1 / "run.log").read_text().splitlines()
     log2 = (out2 / "run.log").read_text().splitlines()
     assert log1[1:] == log2[1:]   # the first line names the thread count
-    (line,) = [ln for ln in log1 if "LPs solved" in ln]
-    solved, pruned = (int(w) for w in line.replace(",", "").split() if w.isdigit())
-    assert solved + pruned == 59 * 5
+    counts = []
+    for log in (log1, log2):
+        (line,) = [ln for ln in log if "LPs solved" in ln]
+        counts.append([int(w) for w in line.replace(",", "").split() if w.isdigit()])
+    assert counts[0] == counts[1]
+    solved, certified, pruned = counts[0]
+    assert line == f"sup: {solved} LPs solved, {certified} certified, {pruned} pruned"
+    assert solved + certified + pruned == 59 * 5
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 

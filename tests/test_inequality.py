@@ -4,6 +4,7 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import heatlab.inequality
 from heatlab import (
     DIRICHLET,
     NEUMANN,
@@ -243,7 +244,7 @@ def test_constant_sup_pruning_matches_exhaustive(problem):
     lam = cutoff_after(spec, modes)
     got = constant_sup(spec, obs, lam)
     want = exhaustive_sup(spec, obs, lam)
-    assert got.lp_solved + got.lp_pruned == dom.n_unknowns
+    assert got.lp_solved + got.lp_certified + got.lp_pruned == dom.n_unknowns
     if np.isinf(want):
         assert np.isinf(got.value)
     else:
@@ -256,8 +257,38 @@ def test_constant_sup_prunes_cantor_sweep(setup):
     cloud = cantor_set(dom, 1 / 3, 6)
     grid = np.linspace(1.5, 12.5, 10)
     results = [constant_sup(spec, cloud, lam) for lam in grid]
-    assert all(r.lp_solved + r.lp_pruned == dom.n_unknowns for r in results)
-    assert sum(r.lp_solved for r in results) <= 0.1 * dom.n_unknowns * grid.size
+    assert all(r.lp_solved + r.lp_certified + r.lp_pruned == dom.n_unknowns for r in results)
+    assert sum(r.lp_solved for r in results) <= 0.02 * dom.n_unknowns * grid.size
+
+
+class _Through:
+    """A module with some attributes replaced, the view perfbench's tracer
+    installs as `heatlab.inequality.scipy`."""
+
+    def __init__(self, module, **overrides):
+        self._module = module
+        self.__dict__.update(overrides)
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+def test_constant_sup_reaches_the_solver_through_its_scipy(setup, monkeypatch):
+    # the tracer's inequality.lp_calls counts these calls: one per LP solved
+    dom, op, spec = setup
+    cloud = cantor_set(dom, 1 / 3, 6)
+    calls = []
+
+    def linprog(*args, **kwargs):
+        calls.append(1)
+        return scipy.optimize.linprog(*args, **kwargs)
+
+    monkeypatch.setattr(heatlab.inequality, "scipy", _Through(
+        scipy, optimize=_Through(scipy.optimize, linprog=linprog)))
+    for lam in np.linspace(1.5, 12.5, 10):
+        calls.clear()
+        got = constant_sup(spec, cloud, lam)
+        assert len(calls) == got.lp_solved < dom.n_unknowns
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
