@@ -1,15 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import heatlab.inequality
 from heatlab import (
     DIRICHLET,
     NEUMANN,
     assemble,
     build_interval,
+    build_rectangle,
     cantor_set,
     compute_spectrum,
     constant_coefficients,
@@ -261,34 +263,24 @@ def test_constant_sup_prunes_cantor_sweep(setup):
     assert sum(r.lp_solved for r in results) <= 0.02 * dom.n_unknowns * grid.size
 
 
-class _Through:
-    """A module with some attributes replaced, the view perfbench's tracer
-    installs as `heatlab.inequality.scipy`."""
-
-    def __init__(self, module, **overrides):
-        self._module = module
-        self.__dict__.update(overrides)
-
-    def __getattr__(self, name):
-        return getattr(self._module, name)
-
-
-def test_constant_sup_reaches_the_solver_through_its_scipy(setup, monkeypatch):
-    # the tracer's inequality.lp_calls counts these calls: one per LP solved
-    dom, op, spec = setup
-    cloud = cantor_set(dom, 1 / 3, 6)
-    calls = []
-
-    def linprog(*args, **kwargs):
-        calls.append(1)
-        return scipy.optimize.linprog(*args, **kwargs)
-
-    monkeypatch.setattr(heatlab.inequality, "scipy", _Through(
-        scipy, optimize=_Through(scipy.optimize, linprog=linprog)))
-    for lam in np.linspace(1.5, 12.5, 10):
-        calls.clear()
-        got = constant_sup(spec, cloud, lam)
-        assert len(calls) == got.lp_solved < dom.n_unknowns
+def test_constant_sup_on_a_planar_cantor_cloud_is_exact_in_linear_memory():
+    # a 2-D Cantor cloud is the product with a transverse segment, so the
+    # cloud size m grows with the grid: n x m is the most a sweep may hold
+    dom = build_rectangle(np.pi, np.pi, 16, 16, DIRICHLET)
+    spec = compute_spectrum(assemble(dom, constant_coefficients(dom)))
+    cloud = cantor_set(dom, 1 / 3, 3)
+    n, m = dom.n_unknowns, cloud.points.size
+    for modes in (3, 6, 10):
+        lam = cutoff_after(spec, modes)
+        tracemalloc.start()
+        try:
+            got = constant_sup(spec, cloud, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.lp_solved + got.lp_certified + got.lp_pruned == n
+        assert got.value == pytest.approx(exhaustive_sup(spec, cloud, lam), rel=1e-12)
+        assert peak <= 8 * (8 * n * m)   # a few float64 n x m arrays
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

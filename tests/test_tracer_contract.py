@@ -63,6 +63,7 @@ def test_tracer_sees_every_runner_and_owner_and_restores(tmp_path):
     try:
         assert experiments.RUNNERS["spectrum"] is not runners["spectrum"]
         for i, cfg in enumerate(CONFIGS):
+            tracer.run_id = i
             _, checks, _ = experiments.run(dict(cfg), out_dir=tmp_path / str(i), threads=2)
             assert all(checks.values()), (cfg["experiment"], checks)
     finally:
@@ -72,7 +73,15 @@ def test_tracer_sees_every_runner_and_owner_and_restores(tmp_path):
     for fn in runners.values():
         assert f"experiments.{fn.__name__}" in names
     assert set(tracer_mod.OWNER) <= names, sorted(set(tracer_mod.OWNER) - names)
-    assert tracer.counts.get((0, "inequality.lp_calls"), 0) > 0
+    # inequality.lp_calls counts the LPs that constant_sup reports as solved,
+    # which pruning and basis certificates keep below one per node and band
+    (sup_run,) = [i for i, cfg in enumerate(CONFIGS) if cfg.get("norms") == ["sup"]]
+    (line,) = [ln for ln in (tmp_path / str(sup_run) / "run.log").read_text().splitlines()
+               if "LPs solved" in ln]
+    solved, _, _ = (int(w) for w in line.replace(",", "").split() if w.isdigit())
+    assert tracer.counts.get((sup_run, "inequality.lp_calls"), 0) == solved
+    nodes = CONFIGS[sup_run]["domain"]["cells"] - 1
+    assert 0 < solved < nodes * CONFIGS[sup_run]["lambda_grid"]["count"]
 
     assert experiments.RUNNERS == runners
     assert all(experiments.RUNNERS[k] is fn for k, fn in runners.items())
