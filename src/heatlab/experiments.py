@@ -2,8 +2,9 @@
 from declarative configs, emitting CSV data, a JSON summary with the fitted
 constants and invariant-check verdicts, and a plain-text log.
 
-Outputs are deterministic for a fixed (config, seed): CSV floats use a fixed
-shortest-roundtrip format and JSON keys are sorted. Every summary embeds the
+Outputs are deterministic for a fixed (config, seed): CSV floats use the
+fixed `%.17g` format, which round-trips exactly (though it is not the
+shortest form), and JSON keys are sorted. Every summary embeds the
 config hash and the package version.
 """
 

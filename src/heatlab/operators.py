@@ -32,8 +32,9 @@ class DiscreteOperator:
     """Stiffness form K (symmetric PSD, unknowns only) and mass weights w.
 
     K is sparse (CSR), with the stencil's few entries per row. The
-    eigensolver, the residual checks and the parity extension multiply and
-    factor it as it is; only the dense eigensolve densifies it."""
+    eigensolvers, the residual checks and the parity extension multiply and
+    factor it as it is; a 1-D (tridiagonal) K is never densified, and only
+    the dense 2-D eigensolve densifies it."""
 
     domain: Domain
     coefficients: CoefficientField

@@ -5,8 +5,10 @@ The generalized problem K e = lambda^2 (w * e) has a sparse (CSR) K. A low
 band of a large operator is solved from K as it is, by shift-invert Lanczos
 whose completeness is certified by Sylvester inertia counts (sparse
 factorizations of K - s W). The complete spectrum, small operators and wide
-bands are solved densely: that path alone densifies K, symmetrizes by
-w^{-1/2} and calls LAPACK. Residual checks multiply with the sparse K.
+bands are solved completely from the w^{-1/2}-symmetrized K: a tridiagonal
+(1-D) K by MRRR on its diagonals, with no N x N array and the same bits as
+the dense eigh; any other (2-D) K densely, the one path that densifies K.
+Residual checks multiply with the sparse K.
 Eigenvectors are orthonormal in the kappa-weighted inner product
 <u, v>_w = sum w_i u_i v_i. Frequencies are lambda_k = sqrt of the
 eigenvalues, ascending.
@@ -82,12 +84,15 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 # Band requests on at least this many unknowns are solved for the band only;
-# below it a dense solve costs about as much (399 unknowns: 0.025 s dense,
-# 0.021 s band; 841 unknowns: 0.17 s dense, 0.035 s band).
+# below it a dense 2-D solve costs about as much (399 unknowns: 0.025 s dense,
+# 0.021 s band; 841 unknowns: 0.17 s dense, 0.035 s band). 1-D band requests
+# keep this routing on purpose, although their complete solve is cheaper than
+# the dense one timed here: rerouting them would move their outputs (Lanczos
+# and MRRR vectors differ in the last bits, and in sign on symmetric grids).
 _BAND_MIN_UNKNOWNS = 512
-# Bands holding more than this share of the unknowns are solved densely: the
-# band solve overtakes the dense one near 15% (1,936 unknowns: 1.49 s dense;
-# band 0.62 s at 10%, 1.44 s at 15%, 2.9 s at 20%).
+# Bands holding more than this share of the unknowns are solved completely:
+# the band solve overtakes the dense 2-D one near 15% (1,936 unknowns: 1.49 s
+# dense; band 0.62 s at 10%, 1.44 s at 15%, 2.9 s at 20%).
 _BAND_MAX_SHARE = 0.1
 
 
@@ -167,11 +172,31 @@ def _band_solve(op: DiscreteOperator, lam_max: float | None, count: int | None):
     return lam2, Y / np.sqrt(np.sum(op.w[:, None] * Y ** 2, axis=0))
 
 
-def _dense_solve(op: DiscreteOperator):
-    """All eigenpairs, from the w^{-1/2}-symmetrized matrix, densified here."""
-    w_isqrt = 1.0 / np.sqrt(op.w)
-    A = (op.K.toarray() * w_isqrt[:, None]) * w_isqrt[None, :]
-    lam2, Y = scipy.linalg.eigh(0.5 * (A + A.T))
+def _is_tridiagonal(K) -> bool:
+    """Whether every stored entry of the CSR matrix K lies within one place
+    of the diagonal."""
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    return bool(np.all(np.abs(K.indices - rows) <= 1))
+
+
+def _complete_solve(op: DiscreteOperator):
+    """All eigenpairs of the w^{-1/2}-symmetrized matrix.
+
+    A tridiagonal K is solved by MRRR (LAPACK stemr) on its symmetrized
+    diagonals, with no N x N array. eigh's driver (syevr) reduces an already
+    tridiagonal matrix with identity reflectors and hands these same d and e
+    to stemr, so both give the same bits. Any other K is densified here."""
+    K, w_isqrt = op.K, 1.0 / np.sqrt(op.w)
+    if _is_tridiagonal(K):
+        # the dense path's float operations on the three diagonals
+        d = (K.diagonal() * w_isqrt) * w_isqrt
+        lower = (K.diagonal(-1) * w_isqrt[1:]) * w_isqrt[:-1]
+        upper = (K.diagonal(1) * w_isqrt[:-1]) * w_isqrt[1:]
+        lam2, Y = scipy.linalg.eigh_tridiagonal(d, 0.5 * (lower + upper),
+                                                 lapack_driver="stemr")
+    else:
+        A = (K.toarray() * w_isqrt[:, None]) * w_isqrt[None, :]
+        lam2, Y = scipy.linalg.eigh(0.5 * (A + A.T))
     return lam2, w_isqrt[:, None] * Y
 
 
@@ -181,7 +206,9 @@ def compute_spectrum(op: DiscreteOperator, lam_max: float | None = None,
 
     A band request on at least _BAND_MIN_UNKNOWNS unknowns is solved for that
     band only, by shift-invert Lanczos certified with Sylvester inertia counts.
-    The complete spectrum, small operators and wide bands are solved densely.
+    The complete spectrum, small operators and wide bands are solved
+    completely: by MRRR on a 1-D operator's tridiagonal K, which allocates no
+    N x N array, and densely on a 2-D one.
     """
     if lam_max is None and count is None:
         count = op.n
@@ -192,7 +219,7 @@ def compute_spectrum(op: DiscreteOperator, lam_max: float | None = None,
 
     band = lam_max is not None or count < op.n
     solved = _band_solve(op, lam_max, count) if band else None
-    lam2, vectors = solved if solved is not None else _dense_solve(op)
+    lam2, vectors = solved if solved is not None else _complete_solve(op)
     freqs = np.sqrt(np.maximum(lam2, 0.0))
     if lam_max is not None:
         keep = freqs <= lam_max

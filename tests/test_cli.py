@@ -482,9 +482,9 @@ SQUARE_24 = {"kind": "rectangle", "lx": math.pi, "ly": math.pi, "nx": 24, "ny": 
 ], ids=["interval-dense", "square-band"])
 def test_byte_identical_reruns(tmp_path, monkeypatch, domain, measure, band):
     if band:
-        def no_dense(op):
-            raise AssertionError("dense eigensolve on a band request")
-        monkeypatch.setattr(heatlab.spectrum, "_dense_solve", no_dense)
+        def no_complete(op):
+            raise AssertionError("complete eigensolve on a band request")
+        monkeypatch.setattr(heatlab.spectrum, "_complete_solve", no_complete)
     cfg = {"experiment": "constant-sweep", "domain": domain,
            "coefficients": {"kind": "piecewise_linear", "lip_g": 1.0,
                             "lip_kappa": 1.0},

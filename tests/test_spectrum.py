@@ -7,11 +7,13 @@ import scipy.sparse.linalg
 from heatlab import (
     DIRICHLET,
     NEUMANN,
+    DiscreteOperator,
     assemble,
     build_interval,
     build_rectangle,
     compute_spectrum,
     constant_coefficients,
+    double_domain,
     eigen_sup_exponent,
     random_lipschitz_coefficients,
     sup_embedding_constant,
@@ -19,6 +21,7 @@ from heatlab import (
 )
 from heatlab import spectrum as spectrum_module
 from heatlab.errors import InsufficientDataError, NumericalFailureError
+from heatlab.operators import StiffnessMatrix
 
 
 def interval_spectrum(n, bc=DIRICHLET, length=np.pi, **kw):
@@ -95,23 +98,29 @@ def test_sparse_residual_matches_dense_formula(dom):
     assert spec.validate()["eigen_residual"] == pytest.approx(dense, rel=1e-13)
 
 
-def dense_oracle(op):
-    """Every eigenpair by scipy.linalg.eigh on the w^{-1/2}-symmetrized K, with
-    w-normalized vectors whose largest-magnitude entry is positive."""
+def dense_eigh(op):
+    """(eigenvalues, vectors) by scipy.linalg.eigh on the densified,
+    w^{-1/2}-symmetrized K, vectors scaled back by w^{-1/2}."""
     w_isqrt = 1.0 / np.sqrt(op.w)
     A = (op.K.toarray() * w_isqrt[:, None]) * w_isqrt[None, :]
     lam2, Y = scipy.linalg.eigh(0.5 * (A + A.T))
-    V = w_isqrt[:, None] * Y
+    return lam2, w_isqrt[:, None] * Y
+
+
+def dense_oracle(op):
+    """Every eigenpair by dense_eigh, with w-normalized vectors whose
+    largest-magnitude entry is positive."""
+    lam2, V = dense_eigh(op)
     V = V / np.sqrt(np.sum(op.w[:, None] * V**2, axis=0))
     V = V * np.sign(V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])])
     return np.maximum(lam2, 0.0), V
 
 
 def band_only(monkeypatch):
-    """Make any dense solve fail, so a passing call took the band path."""
-    def no_dense(op):
-        raise AssertionError("dense eigensolve on a band request")
-    monkeypatch.setattr(spectrum_module, "_dense_solve", no_dense)
+    """Make any complete solve fail, so a passing call took the band path."""
+    def no_complete(op):
+        raise AssertionError("complete eigensolve on a band request")
+    monkeypatch.setattr(spectrum_module, "_complete_solve", no_complete)
 
 
 def lipschitz_square(n, seed=2):
@@ -207,6 +216,75 @@ def test_wide_band_falls_back_to_the_dense_solve(request_, band, monkeypatch):
     else:
         assert np.array_equal(spec.eigenvalues, full.eigenvalues[:m])
         assert np.array_equal(spec.vectors, full.vectors[:, :m])
+
+
+def interval_operator(cells, bc, coefficients):
+    dom = build_interval(np.pi, cells, bc)
+    if coefficients == "constant":
+        return assemble(dom, constant_coefficients(dom))
+    return assemble(dom, random_lipschitz_coefficients(dom, 1.0, 1.0, seed=cells))
+
+
+@pytest.mark.parametrize("cells", [2, 3, 33, 130, 401, 800])
+@pytest.mark.parametrize("coefficients", ["constant", "lipschitz"])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+def test_interval_solve_equals_dense_eigh_bit_for_bit(bc, coefficients, cells):
+    # MRRR on the symmetrized diagonals is the tridiagonal half of eigh's
+    # own driver, so nothing may move, not even the last bit
+    op = interval_operator(cells, bc, coefficients)
+    lam2, V = spectrum_module._complete_solve(op)
+    lam2_dense, V_dense = dense_eigh(op)
+    assert np.array_equal(lam2, lam2_dense)
+    assert np.array_equal(V, V_dense)
+
+
+def double_operator(cells):
+    dom = build_interval(np.pi, cells, DIRICHLET)
+    return double_domain(dom, random_lipschitz_coefficients(dom, 1.0, 1.0, seed=5)).operator
+
+
+def test_reflected_double_solve_equals_dense_eigh_bit_for_bit():
+    op = double_operator(150)
+    lam2, V = spectrum_module._complete_solve(op)
+    lam2_dense, V_dense = dense_eigh(op)
+    assert np.array_equal(lam2, lam2_dense)
+    assert np.array_equal(V, V_dense)
+
+
+def ring_operator(cells):
+    """An interval's operator with the corner entries of a periodic closure:
+    a 1-D domain whose K is not tridiagonal."""
+    op = interval_operator(cells, DIRICHLET, "lipschitz")
+    n, c = op.n, op.K[0, 0]
+    rows, cols = [0, 0, n - 1, n - 1], [0, n - 1, 0, n - 1]
+    corners = scipy.sparse.csr_matrix(([c, -c, -c, c], (rows, cols)), shape=(n, n))
+    return DiscreteOperator(op.domain, op.coefficients, StiffnessMatrix(op.K + corners), op.w)
+
+
+@pytest.mark.parametrize("build, densified", [
+    (lambda: interval_operator(300, NEUMANN, "lipschitz"), False),
+    (lambda: double_operator(100), False),
+    (lambda: lipschitz_square(8), True),
+    (lambda: ring_operator(40), True),
+], ids=["interval", "double", "square", "ring"])
+def test_complete_solve_densifies_only_non_tridiagonal_k(build, densified, monkeypatch):
+    op = build()
+    calls = {"eigh": 0, "toarray": 0}
+    eigh, toarray = scipy.linalg.eigh, StiffnessMatrix.toarray
+
+    def counting_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counting_toarray(self, *args, **kwargs):
+        calls["toarray"] += 1
+        return toarray(self, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(StiffnessMatrix, "toarray", counting_toarray)
+    spec = compute_spectrum(op)
+    assert spec.n_modes == op.n
+    assert calls == ({"eigh": 1, "toarray": 1} if densified else {"eigh": 0, "toarray": 0})
 
 
 def test_heat_semigroup_law_and_contraction():
