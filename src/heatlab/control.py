@@ -1,15 +1,16 @@
-"""Constructive null control: impulsive minimum-norm moment controls at
-geometric times (low band killed exactly, high band left to dissipate) and
-their smeared-in-time variant on E x (0, T), with exponential cost
-bookkeeping.
+"""Constructive null control by one Lebeau-Robbiano steering loop: in each
+window a minimum-norm moment control on the set cancels the low band of the
+deficit exactly and the heat flow damps the rest. The control is an impulse
+at the window's start, or a density on E x (window) held constant on time
+slabs; both modes return a ControlSchedule, with exponential cost bookkeeping.
 
-Controls steer the state onto the free trajectory of the target: the tracked
-quantity is the modal deficit d_k(t) between the state and e^{t Delta} v_0.
-An impulse with payload mu adds <mu, e_k> to every modal coefficient, so one
-step cancels the band lambda_k <= Lambda_j exactly while the remainder decays
-by at least e^{-Lambda_j^2 gap}. The frequency rule grows like
-sqrt(c_lambda / gap) but is capped at the numerically observable band of the
-support, where the moment systems stay solvable in double precision.
+The tracked quantity is the modal deficit d_k(t) between the state and the
+target's free trajectory e^{t Delta} v_0. A payload mu adds r_k <mu, e_k> to
+d_k at the window's balance time, with reach r_k = 1 for an impulse and the
+slab accumulation phi_k for a density, so the band lambda_k <= Lambda_j is
+cancelled while the remainder decays by at least e^{-Lambda_j^2 gap}. The
+frequency rule grows like sqrt(c_lambda / gap) but is capped at the support's
+numerically observable band, where the moment systems stay solvable.
 """
 
 from __future__ import annotations
@@ -50,21 +51,26 @@ def lr_schedule(T: float, rho: float, n_steps: int) -> TimeSequence:
 
 @dataclass(eq=False)
 class StepControl:
-    """One impulsive control: a density on the mask nodes or atoms on the
-    cloud points, with its modal jump and solve diagnostics."""
+    """One control of the steering loop: a density on the mask nodes or atoms
+    on the cloud points, acting over [time, end] and cancelling its band at
+    `end`. An impulse has end == time and no slabs; a distributed density is
+    held constant on the time slabs `slabs`."""
 
     time: float
+    end: float
+    slabs: np.ndarray              # indices of the time slabs carrying the density
     kind: str                      # "density" or "atoms"
     payload: np.ndarray            # density over unknowns (zero off the set) or atom weights
     total_variation: float
-    lambda_cutoff: float
+    lambda_cutoff: float           # top frequency of the band the control cancels
     moment_residual: float         # relative residual of the band moment solve
     gram_min_eigenvalue: float
-    jump: np.ndarray = field(repr=False, default=None)   # modal jump, all modes
+    jump: np.ndarray = field(repr=False, default=None)   # payload moments, all modes
 
 
 def _solve_step(spectrum: Spectrum, obs: ObservationSet, band: np.ndarray,
-                targets: np.ndarray, time: float, step_index=None) -> StepControl:
+                targets: np.ndarray, time: float, end=None, slabs=(),
+                step_index=None) -> StepControl:
     """Minimum-norm payload whose band moments equal `targets`: a density on
     the unknowns (zero off a cell mask) or atom weights on a point cloud."""
     lam_cut = float(spectrum.frequencies[band].max())
@@ -114,7 +120,8 @@ def _solve_step(spectrum: Spectrum, obs: ObservationSet, band: np.ndarray,
         raise SynthesisFailureError(
             f"support cannot reach mode {bad} (moment residual {rel:.2e})",
             mode_index=bad, step_index=step_index)
-    return StepControl(time, kind, payload, tv, lam_cut, rel, gmin, jump)
+    return StepControl(time, time if end is None else end, np.asarray(slabs, dtype=int),
+                       kind, payload, tv, lam_cut, rel, gmin, jump)
 
 
 def observable_cutoff(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> float:
@@ -131,6 +138,8 @@ def observable_cutoff(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -
         P = obs.rows(spectrum.vectors)
 
         def solvable(k):
+            if k > P.shape[0]:
+                return False   # k moments on fewer points: never solvable
             sv = np.linalg.svd(P[:, :k].T, compute_uv=False)
             return sv[-1] / sv[0] >= DEFAULT_COND_FLOOR
 
@@ -150,7 +159,8 @@ def observable_cutoff(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -
 
 @dataclass(eq=False)
 class ControlSchedule:
-    """Synthesized impulsive schedule with its terminal deficit."""
+    """The controls of one steering run, in time order, with the terminal
+    deficit at the horizon (absolute and relative to the initial deficit)."""
 
     steps: list
     horizon: float
@@ -163,46 +173,104 @@ class ControlSchedule:
     def times(self) -> np.ndarray:
         return np.array([s.time for s in self.steps])
 
+    @property
+    def sup_norm(self) -> float:
+        """Largest |payload| over all controls: ||f||_inf on E x (0, T) for densities."""
+        return max((float(np.abs(s.payload).max()) for s in self.steps), default=0.0)
+
+
+def _bounds(schedule: TimeSequence) -> np.ndarray:
+    """The schedule's times followed by its horizon T."""
+    if schedule.tag != "lr_geometric":
+        raise ValueError("synthesis expects an lr_geometric schedule")
+    times, T = schedule.times, schedule.horizon
+    if times[0] <= 0 or times[-1] >= T:
+        raise ValueError("control times must lie strictly inside (0, T)")
+    return np.concatenate([times, [T]])
+
+
+def _steer(spectrum: Spectrum, obs: ObservationSet, windows: list, u0, v0,
+           c_lambda: float) -> ControlSchedule:
+    """The steering loop over time-ordered windows (start, end, balance time,
+    reach, slabs): at the balance time the band lambda_k <= sqrt(c_lambda /
+    (end - start)) of the deficit is cancelled by a control whose moments
+    reach it times `reach`; a window with reach None carries no control. The
+    first control makes the run's one cutoff scan, at the largest frequency a
+    controlled window asks for. The horizon is the last window's end."""
+    lam2 = spectrum.eigenvalues
+    u0c = spectrum.coefficients(u0)
+    v0c = np.zeros_like(u0c) if v0 is None else spectrum.coefficients(v0)
+    d = u0c - v0c
+    d0 = float(np.linalg.norm(d))
+    lams = [math.sqrt(c_lambda / (end - start)) for start, end, *_ in windows]
+    lam_top = max((lam for lam, (*_, reach, _) in zip(lams, windows) if reach is not None),
+                  default=0.0)
+    T = windows[-1][1]
+    cap, steps, t = None, [], 0.0
+    for j, ((start, _, at, reach, slabs), lam_j) in enumerate(zip(windows, lams)):
+        d = d * np.exp(-lam2 * (at - t))
+        t = at
+        band = spectrum.band(lam_j)
+        if reach is None or not (band.size and float(np.abs(d[band]).max()) > 0):
+            continue
+        if cap is None:
+            cap = observable_cutoff(spectrum, obs, lam_max=lam_top)
+            # no control reaches a mode above the cap, so the flow alone must
+            # damp it by e^{-c_lambda} between this first control and T
+            k = spectrum.band(cap).size
+            if k < spectrum.band(math.sqrt(c_lambda / (T - start))).size:
+                raise SynthesisFailureError(f"support observes {k} modes, and mode {k} "
+                                            "needs control", mode_index=k, step_index=j)
+        band = spectrum.band(min(lam_j, cap))
+        sc = _solve_step(spectrum, obs, band, -d[band] / reach[band], start, at, slabs,
+                         step_index=j)
+        d = d + sc.jump * reach
+        steps.append(sc)
+    d = d * np.exp(-lam2 * (T - t))
+    terminal = float(np.linalg.norm(d))
+    return ControlSchedule(steps, T, u0c, v0c, terminal, terminal / d0 if d0 > 0 else 0.0)
+
 
 def synthesize(spectrum: Spectrum, obs: ObservationSet, schedule: TimeSequence,
                u0, v0=None, c_lambda: float = DEFAULT_C_LAMBDA) -> ControlSchedule:
-    """Iterative low-band steering along the given times.
+    """Impulsive steering along the schedule's times.
 
     At each t_j the band lambda_k <= Lambda_j of the running deficit against
     the target trajectory is cancelled by a minimum-norm impulse; free flow to
     t_(j+1) then contracts the remainder. The terminal deficit after the last
     flow to the horizon is reported (relative to the initial deficit).
     """
-    if schedule.tag != "lr_geometric":
-        raise ValueError("synthesis expects an lr_geometric schedule")
-    T = schedule.horizon
-    times = schedule.times
-    if times[0] <= 0 or times[-1] >= T:
-        raise ValueError("control times must lie strictly inside (0, T)")
-    gaps = np.diff(np.concatenate([times, [T]]))
-    cap = observable_cutoff(spectrum, obs, lam_max=math.sqrt(c_lambda / gaps.min()))
+    bounds = _bounds(schedule)
+    ones = np.ones(spectrum.n_modes)
+    windows = [(t, end, t, ones, ()) for t, end in zip(bounds[:-1], bounds[1:])]
+    return _steer(spectrum, obs, windows, u0, v0, c_lambda)
 
+
+def distributed_control(spectrum: Spectrum, obs: ObservationSet, schedule: TimeSequence,
+                        n_slabs: int, u0, v0=None,
+                        c_lambda: float = DEFAULT_C_LAMBDA) -> ControlSchedule:
+    """Steering by piecewise-constant-in-time densities on the cell-mask set
+    E over the schedule's horizon T, cut into `n_slabs` equal time slabs: the
+    windows run from one lr_schedule time to the next (the first from 0, the
+    last to T), and each smears the low-band kill over the slabs that lie
+    inside it, cancelling the band at the window's end; a window that holds
+    no whole slab carries no control.
+    """
+    bounds = _bounds(schedule)
+    dt = schedule.horizon / n_slabs
+    slab_lo = np.arange(n_slabs) * dt
     lam2 = spectrum.eigenvalues
-    u0c = spectrum.coefficients(u0)
-    v0c = np.zeros_like(u0c) if v0 is None else spectrum.coefficients(v0)
-    d = u0c - v0c
-    d0 = float(np.linalg.norm(d))
-    steps = []
-    t_prev = 0.0
-    for j, tj in enumerate(times):
-        d = d * np.exp(-lam2 * (tj - t_prev))
-        gap = (times[j + 1] if j + 1 < times.size else T) - tj
-        lam_j = min(math.sqrt(c_lambda / gap), cap)
-        band = spectrum.band(lam_j)
-        if band.size and float(np.abs(d[band]).max()) > 0:
-            sc = _solve_step(spectrum, obs, band, -d[band], tj, step_index=j)
-            d = d + sc.jump
-            steps.append(sc)
-        t_prev = tj
-    d = d * np.exp(-lam2 * (T - t_prev))
-    terminal = float(np.linalg.norm(d))
-    rel = terminal / d0 if d0 > 0 else 0.0
-    return ControlSchedule(steps, T, u0c, v0c, terminal, rel)
+    small = lam2 <= 1e-14
+    safe = np.where(small, 1.0, lam2)
+    windows = []
+    for ts, te in zip(np.concatenate([[0.0], bounds[:-1]]), bounds):
+        slabs = np.flatnonzero((slab_lo >= ts - 1e-12) & (slab_lo + dt <= te + 1e-12))
+        # modal reach at te of a unit source held on each slab [a, b]
+        reach = sum(np.where(small, b - a,
+                             (np.exp(-lam2 * (te - b)) - np.exp(-lam2 * (te - a))) / safe)
+                    for a, b in ((sl * dt, (sl + 1) * dt) for sl in slabs))
+        windows.append((ts, te, te, reach if slabs.size else None, slabs))
+    return _steer(spectrum, obs, windows, u0, v0, c_lambda)
 
 
 @dataclass(eq=False)
@@ -214,7 +282,7 @@ class SimulationResult:
 
 
 def simulate(spectrum: Spectrum, u0, schedule: ControlSchedule) -> SimulationResult:
-    """Replay the piecewise heat flow with the schedule's modal jumps."""
+    """Replay the piecewise heat flow with an impulsive schedule's modal jumps."""
     T = schedule.horizon
     lam2 = spectrum.eigenvalues
     u = spectrum.coefficients(u0)
@@ -233,89 +301,6 @@ def simulate(spectrum: Spectrum, u0, schedule: ControlSchedule) -> SimulationRes
     u = u * np.exp(-lam2 * (T - t_prev))
     times.append(T); phases.append("end"); snaps.append(u.copy())
     return SimulationResult(np.array(times), phases, np.array(snaps), u)
-
-
-# ---------------------------------------------------------------------------
-# distributed controls on E x (0, T)
-# ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class WindowControl:
-    t_start: float
-    t_end: float
-    slabs: np.ndarray              # slab indices carrying the control
-    profile: np.ndarray            # density over unknowns, constant on the slabs
-    lambda_cutoff: float
-    sup_norm: float
-
-
-@dataclass(eq=False)
-class DistributedResult:
-    windows: list
-    sup_norm: float                # ||f||_inf over E x (0, T)
-    terminal_deficit: float
-    terminal_relative: float
-
-
-def distributed_control(spectrum: Spectrum, obs: ObservationSet, schedule: TimeSequence,
-                        n_slabs: int, u0, v0=None,
-                        c_lambda: float = DEFAULT_C_LAMBDA) -> DistributedResult:
-    """Steering by piecewise-constant-in-time densities on the cell-mask set
-    E over the schedule's horizon T, cut into `n_slabs` equal time slabs: the
-    windows run from one lr_schedule time to the next (the first from 0, the
-    last to T), and each smears the low-band kill over the slabs that lie
-    inside it; a window shorter than one slab carries no control.
-    """
-    T = schedule.horizon
-    dt = T / n_slabs
-    slab_lo = np.arange(n_slabs) * dt
-    slab_hi = slab_lo + dt
-    bounds = np.concatenate([schedule.times, [T]])
-    lam2 = spectrum.eigenvalues
-
-    u0c = spectrum.coefficients(u0)
-    v0c = np.zeros_like(u0c) if v0 is None else spectrum.coefficients(v0)
-    d = u0c - v0c
-    d0 = float(np.linalg.norm(d))
-
-    windows = []
-    t_prev = 0.0
-    for j in range(bounds.size):
-        te = bounds[j]
-        ts = t_prev
-        if te <= ts:
-            continue
-        gap = te - ts
-        slabs = np.flatnonzero((slab_lo >= ts - 1e-12) & (slab_hi <= te + 1e-12))
-        lam_j = math.sqrt(c_lambda / gap)
-        band = spectrum.band(lam_j)
-        need = band.size and float(np.abs(d[band] * np.exp(-lam2[band] * gap)).max()) > 1e-300
-        if need and slabs.size:
-            cap = observable_cutoff(spectrum, obs, lam_max=lam_j)
-            lam_j = min(lam_j, cap)
-            band = spectrum.band(lam_j)
-            # modal accumulation factors of a unit source over the slabs
-            phi = np.zeros(spectrum.n_modes)
-            for sl in slabs:
-                a, b = sl * dt, (sl + 1) * dt
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    contrib = np.where(lam2 > 1e-14,
-                                       (np.exp(-lam2 * (te - b)) - np.exp(-lam2 * (te - a))) / np.where(lam2 > 1e-14, lam2, 1.0),
-                                       b - a)
-                phi += contrib
-            targets = -(d[band] * np.exp(-lam2[band] * gap)) / phi[band]
-            sc = _solve_step(spectrum, obs, band, targets, ts, step_index=j)
-            d = d * np.exp(-lam2 * gap) + sc.jump * phi
-            win = WindowControl(ts, te, slabs, sc.payload, lam_j,
-                                float(np.abs(sc.payload).max()))
-            windows.append(win)
-        else:
-            d = d * np.exp(-lam2 * gap)
-        t_prev = te
-    terminal = float(np.linalg.norm(d))
-    rel = terminal / d0 if d0 > 0 else 0.0
-    sup = max((w.sup_norm for w in windows), default=0.0)
-    return DistributedResult(windows, sup, terminal, rel)
 
 
 # ---------------------------------------------------------------------------

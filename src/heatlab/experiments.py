@@ -569,16 +569,16 @@ def run_control(plan: RunPlan, out: Path, log, threads):
     else:
         res = distributed_control(spec, obs, seq, p["time_slabs"], u0, v0,
                                   c_lambda=p["c_lambda"])
-        rows = [(w.t_start, w.t_end, w.lambda_cutoff, w.slabs.size, w.sup_norm)
-                for w in res.windows]
+        rows = [(sc.time, sc.end, sc.lambda_cutoff, sc.slabs.size,
+                 float(np.abs(sc.payload).max())) for sc in res.steps]
         write_csv(out / "windows.csv",
                   ["t_start", "t_end", "lambda_cutoff", "n_slabs", "sup_norm"], rows)
         summary.update({
             "terminal_relative": res.terminal_relative,
             "sup_norm": res.sup_norm,
-            "n_windows": len(res.windows),
+            "n_windows": len(res.steps),
         })
-        log(f"distributed control over {len(res.windows)} windows, "
+        log(f"distributed control over {len(res.steps)} windows, "
             f"terminal relative deficit {res.terminal_relative:.3e}")
         checks["finite_control"] = math.isfinite(res.sup_norm)
     return summary, checks

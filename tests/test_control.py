@@ -12,12 +12,14 @@ from heatlab import (
     full_domain_set,
     interval_mask,
     lr_schedule,
+    observable_cutoff,
     point_cloud,
     set_from_mask,
     simulate,
     synthesize,
     telescope_check,
 )
+from heatlab import control
 from heatlab.control import ControlSchedule, _solve_step
 from heatlab.errors import SynthesisFailureError
 
@@ -83,6 +85,20 @@ def test_step_control_unreachable_mode(setup):
     with pytest.raises(SynthesisFailureError) as exc:
         step(spec, obs, spec.frequencies[1] + 0.05, deficit)
     assert exc.value.mode_index == 1
+
+
+def test_cloud_cutoff_stops_at_the_number_of_points():
+    # five atoms can match at most five moments, so the cutoff falls between
+    # modes 5 and 6 and every seed's synthesis reaches its band
+    dom = build_interval(np.pi, 400, DIRICHLET)
+    spec = compute_spectrum(assemble(dom, constant_coefficients(dom)), count=20)
+    obs = point_cloud(dom, [[0.3], [0.9], [1.4], [2.0], [2.7]])
+    cut = observable_cutoff(spec, obs, lam_max=spec.frequencies[-1])
+    assert spec.frequencies[4] < cut < spec.frequencies[5]
+    for seed in range(4):
+        u0 = spec.synthesize_values(np.random.default_rng(seed).standard_normal(20))
+        sched = synthesize(spec, obs, lr_schedule(1.0, 0.5, 10), u0)
+        assert max(sc.moment_residual for sc in sched.steps) <= 1e-13
 
 
 def test_synthesize_trivial_when_target_reached(setup):
@@ -196,24 +212,69 @@ def test_distributed_single_mode_two_point_oracle():
     res = distributed_control(spec, obs, lr_schedule(1.0, 0.5, 2), 16, u0)
     assert res.terminal_relative <= 1e-10
     # oracle: two-point boundary solve for the first window's constant source
-    w0 = res.windows[0]
+    w0 = res.steps[0]
     lam2 = spec.eigenvalues[0]
-    span = w0.t_end - w0.t_start
-    needed = -np.exp(-lam2 * w0.t_end) * 1.7
+    span = w0.end - w0.time
+    needed = -np.exp(-lam2 * w0.end) * 1.7
     phi = (1 - np.exp(-lam2 * span)) / lam2
     moment = needed / phi
-    profile_moment = np.sum(spec.weights * w0.profile * spec.vectors[:, 0])
+    profile_moment = np.sum(spec.weights * w0.payload * spec.vectors[:, 0])
     assert profile_moment == pytest.approx(moment, rel=1e-9)
 
 
-def test_distributed_half_interval(setup):
+def counting_cutoff(monkeypatch):
+    calls = []
+    scan = control.observable_cutoff
+    monkeypatch.setattr(control, "observable_cutoff",
+                        lambda *a, **k: calls.append(1) or scan(*a, **k))
+    return calls
+
+
+def test_distributed_half_interval(setup, monkeypatch):
     dom, op, spec = setup
     obs = set_from_mask(dom, interval_mask(dom, 0.0, np.pi / 2), kappa_of(spec))
     rng = np.random.default_rng(9)
     u0 = spec.synthesize_values(rng.standard_normal(spec.n_modes))
-    res = distributed_control(spec, obs, lr_schedule(1.0, 0.5, 10), 32, u0)
+    seq = lr_schedule(1.0, 0.5, 10)
+    calls = counting_cutoff(monkeypatch)
+    res = distributed_control(spec, obs, seq, 32, u0)
+    assert len(calls) == 1                     # one cutoff scan per run
+    synthesize(spec, obs, seq, u0)
+    assert len(calls) == 2
     assert res.terminal_relative <= 1e-6
     assert np.isfinite(res.sup_norm)
+    # replay the densities with each slab's reach in closed form: every window
+    # cancels exactly the band its lambda_cutoff names, and not the next mode
+    lam2, dt = spec.eigenvalues, 1.0 / 32
+    d, t = spec.coefficients(u0), 0.0
+    assert len(res.steps) == 5
+    for sc in res.steps:
+        assert sc.lambda_cutoff in spec.frequencies
+        band = spec.band(sc.lambda_cutoff)
+        d = d * np.exp(-lam2 * (sc.end - t))
+        a = sc.slabs * dt
+        phi = np.sum(np.exp(-np.outer(lam2, sc.end - a - dt))
+                     - np.exp(-np.outer(lam2, sc.end - a)), axis=1) / lam2
+        scale = np.abs(d[:band.size + 1]).max()
+        d = d + sc.jump * phi
+        assert np.abs(d[band]).max() <= 1e-10 * scale
+        assert abs(d[band.size]) >= 1e-6 * scale
+        t = sc.end
+
+
+def test_distributed_run_without_a_whole_slab_issues_no_control(setup, monkeypatch):
+    # one slab spans the whole horizon, so no window holds it: the run issues
+    # no control, makes no cutoff scan, and the deficit flows freely to T
+    dom, op, spec = setup
+    obs = set_from_mask(dom, interval_mask(dom, 0.0, np.pi / 2), kappa_of(spec))
+    u0 = spec.vectors[:, 0] + spec.vectors[:, 3]
+    calls = counting_cutoff(monkeypatch)
+    res = distributed_control(spec, obs, lr_schedule(1.0, 0.5, 10), 1, u0)
+    assert res.steps == [] and res.sup_norm == 0.0
+    flow = np.linalg.norm(spec.coefficients(heat(spec, u0, 1.0)))
+    assert res.terminal_relative == pytest.approx(flow / np.sqrt(2), rel=1e-12)
+    synthesize(spec, obs, lr_schedule(1.0, 0.5, 10), u0, u0)   # at the target already
+    assert calls == []
 
 
 def test_cost_report_empty_and_single(setup):
