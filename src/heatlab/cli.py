@@ -1,9 +1,9 @@
 """Command-line entry point: `heatlab run <config.json> [--out DIR]
-[--threads N] [--verbose]`.
+[--verbose]`.
 
-`--out` overrides the config's `out` directory; `--threads` bounds the
-constant-sweep workers. Exit codes: 0 when every invoked invariant check
-passes, 1 when a check fails, 2 on configuration or input errors.
+`--out` overrides the config's `out` directory; `--verbose` echoes the run
+log. Exit codes: 0 when every invoked invariant check passes, 1 when a check
+fails, 2 on configuration or input errors.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="execute one experiment config")
     runp.add_argument("config", help="path to the experiment JSON config")
     runp.add_argument("--out", default=None, help="output directory")
-    runp.add_argument("--threads", type=int, default=None,
-                      help="worker threads for constant sweeps (default: all cores)")
     runp.add_argument("--verbose", action="store_true", help="echo the run log")
     args = parser.parse_args(argv)
 
@@ -41,8 +39,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        summary, checks, out = run(cfg, out_dir=args.out, threads=args.threads,
-                                   verbose=args.verbose)
+        summary, checks, out = run(cfg, out_dir=args.out, verbose=args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,11 +10,10 @@ config hash and the package version.
 
 from __future__ import annotations
 
-import concurrent.futures
+import concurrent.futures  # unused here; perfbench's tracer patches its pool
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -399,7 +398,7 @@ def _setup(raw) -> RunPlan:
 # families
 # ---------------------------------------------------------------------------
 
-def run_spectrum(plan: RunPlan, out: Path, log, threads):
+def run_spectrum(plan: RunPlan, out: Path, log):
     spec = plan.spectrum
     op = spec.operator
     log(f"computed {spec.n_modes} eigenpairs on {op.n} unknowns")
@@ -425,7 +424,7 @@ def run_spectrum(plan: RunPlan, out: Path, log, threads):
     return summary, checks
 
 
-def run_constant_sweep(plan: RunPlan, out: Path, log, threads):
+def run_constant_sweep(plan: RunPlan, out: Path, log):
     spec, obs, grid = plan.spectrum, plan.obs, plan.params["lambda_grid"]
 
     def one(nm, lam):
@@ -444,34 +443,33 @@ def run_constant_sweep(plan: RunPlan, out: Path, log, threads):
     rows = []
     summary = {"set_kind": obs.kind, "measure": obs.measure, "fits": {}}
     checks = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        for nm in plan.params["norms"]:
-            by_size = dict(zip(lowest, pool.map(lambda lam: one(nm, lam), lowest.values())))
-            if nm == "sup":
-                log(f"sup: {sum(c.lp_solved for c in by_size.values())} LPs solved, "
-                    f"{sum(c.lp_certified for c in by_size.values())} certified, "
-                    f"{sum(c.lp_pruned for c in by_size.values())} pruned")
-                by_size = {k: c.value for k, c in by_size.items()}
-            consts = [by_size[k] for k in sizes]
-            rows += [(nm, lam, c) for lam, c in zip(grid, consts)]
-            fit = fit_growth(grid, consts)
-            summary["fits"][nm] = {
-                "prefactor": fit.prefactor, "rate": fit.rate,
-                "r_squared": fit.r_squared, "n_points": fit.n_points,
-                "degenerate": fit.degenerate,
-            }
-            log(f"{nm}: C in [{min(consts):.6g}, {max(consts):.6g}], "
-                f"rate {fit.rate:.6g}, r2 {fit.r_squared:.4f}")
-            finite = [c for c in consts if math.isfinite(c)]
-            checks[f"{nm}_finite"] = len(finite) == len(consts)
-            if nm == "l2":
-                checks["l2_at_least_one"] = all(c >= 1 - 1e-9 for c in finite)
-            checks[f"{nm}_rate_nonnegative"] = fit.degenerate or fit.rate >= -1e-6
+    for nm in plan.params["norms"]:
+        by_size = {k: one(nm, lam) for k, lam in lowest.items()}
+        if nm == "sup":
+            log(f"sup: {sum(c.lp_solved for c in by_size.values())} LPs solved, "
+                f"{sum(c.lp_certified for c in by_size.values())} certified, "
+                f"{sum(c.lp_pruned for c in by_size.values())} pruned")
+            by_size = {k: c.value for k, c in by_size.items()}
+        consts = [by_size[k] for k in sizes]
+        rows += [(nm, lam, c) for lam, c in zip(grid, consts)]
+        fit = fit_growth(grid, consts)
+        summary["fits"][nm] = {
+            "prefactor": fit.prefactor, "rate": fit.rate,
+            "r_squared": fit.r_squared, "n_points": fit.n_points,
+            "degenerate": fit.degenerate,
+        }
+        log(f"{nm}: C in [{min(consts):.6g}, {max(consts):.6g}], "
+            f"rate {fit.rate:.6g}, r2 {fit.r_squared:.4f}")
+        finite = [c for c in consts if math.isfinite(c)]
+        checks[f"{nm}_finite"] = len(finite) == len(consts)
+        if nm == "l2":
+            checks["l2_at_least_one"] = all(c >= 1 - 1e-9 for c in finite)
+        checks[f"{nm}_rate_nonnegative"] = fit.degenerate or fit.rate >= -1e-6
     write_csv(out / "sweep.csv", ["norm", "lambda", "constant"], rows)
     return summary, checks
 
 
-def run_interp_check(plan: RunPlan, out: Path, log, threads):
+def run_interp_check(plan: RunPlan, out: Path, log):
     spec, obs = plan.spectrum, plan.obs
     s, t, eps, batch = (plan.params[k] for k in ("s", "t", "epsilon", "batch"))
     rng = np.random.default_rng(plan.seed)
@@ -521,7 +519,7 @@ def _export_schedule(sched, path: Path):
     path.write_text(json.dumps(blob, sort_keys=True, indent=1) + "\n")
 
 
-def run_control(plan: RunPlan, out: Path, log, threads):
+def run_control(plan: RunPlan, out: Path, log):
     spec, obs, p = plan.spectrum, plan.obs, plan.params
     seq = p["schedule"]
     T = seq.horizon
@@ -584,7 +582,7 @@ def run_control(plan: RunPlan, out: Path, log, threads):
     return summary, checks
 
 
-def run_double_check(plan: RunPlan, out: Path, log, threads):
+def run_double_check(plan: RunPlan, out: Path, log):
     spec, (db, spec2) = plan.spectrum, plan.doubled
     domain = spec.operator.domain
     rows = []
@@ -651,8 +649,9 @@ RUNNERS = {
 
 def run(cfg: dict, out_dir=None, threads=None, verbose=False):
     """Check and execute one experiment config into `out_dir` (None: the
-    config's `out`); `threads` bounds the constant-sweep workers (None: all
-    cores). Returns (summary, checks, out_dir);
+    config's `out`), in order on the calling thread. `threads` is checked
+    (None or an integer >= 1) but unused; it stays for callers that pass it.
+    Returns (summary, checks, out_dir);
     raises ConfigError on invalid input, before any eigensolve except for a
     spectral cutoff below the first eigenfrequency.
     """
@@ -660,7 +659,6 @@ def run(cfg: dict, out_dir=None, threads=None, verbose=False):
     plan = _setup(cfg)
     out = Path(out_dir or plan.out)
     out.mkdir(parents=True, exist_ok=True)
-    threads = threads or os.cpu_count() or 1
     lines = []
 
     def log(msg):
@@ -668,8 +666,8 @@ def run(cfg: dict, out_dir=None, threads=None, verbose=False):
         if verbose:
             print(msg)
 
-    log(f"experiment {plan.experiment} (seed {plan.seed}, threads {threads})")
-    summary, checks = RUNNERS[plan.experiment](plan, out, log, threads)
+    log(f"experiment {plan.experiment} (seed {plan.seed})")
+    summary, checks = RUNNERS[plan.experiment](plan, out, log)
     checks = {k: bool(v) for k, v in checks.items()}
     summary = {"experiment": plan.experiment, "artifact_version": _version,
                "config_hash": plan.config_hash, "seed": plan.seed, **summary,

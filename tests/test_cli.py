@@ -2,8 +2,10 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -351,7 +353,9 @@ def test_cli_exit_codes(tmp_path):
     rho = write_cfg(tmp_path, dict(CONTROL, schedule={"T": 1.0, "rho": 1.5, "steps": 3}),
                     "rho.json")
     assert main(["run", str(rho), "--out", str(tmp_path / "o4")]) == 2
-    assert main(["run", str(good), "--out", str(tmp_path / "o5"), "--threads", "-1"]) == 2
+    with pytest.raises(SystemExit) as exit_:   # argparse on an unknown option
+        main(["run", str(good), "--out", str(tmp_path / "o5"), "--threads", "1"])
+    assert exit_.value.code == 2
     for i, cfg in enumerate(EMPTY_BANDS):
         empty = write_cfg(tmp_path, cfg, f"empty{i}.json")
         assert main(["run", str(empty), "--out", str(tmp_path / f"e{i}")]) == 2
@@ -383,6 +387,17 @@ def test_empty_band_is_a_config_error(tmp_path, cfg, field):
     with pytest.raises(ConfigError) as err:
         run(dict(cfg), out_dir=tmp_path / "empty")
     assert err.value.field == field
+
+
+def test_config_doc_lists_the_cli_options(capsys):
+    doc = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+    table = doc.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `(--[a-z-]+)`", table, flags=re.M))
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--help"])
+    assert exit_.value.code == 0
+    printed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert documented == printed - {"--help"}
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -526,7 +541,8 @@ def test_sup_sweep_logs_lp_counts(tmp_path):
     assert all(checks.values())
     log1 = (out1 / "run.log").read_text().splitlines()
     log2 = (out2 / "run.log").read_text().splitlines()
-    assert log1[1:] == log2[1:]   # the first line names the thread count
+    assert log1 == log2
+    assert log1[0] == "experiment constant-sweep (seed 0)"
     counts = []
     for log in (log1, log2):
         (line,) = [ln for ln in log if "LPs solved" in ln]
@@ -560,12 +576,13 @@ def test_sweep_solves_each_band_once(tmp_path, monkeypatch, set_, norms):
     calls = []
     for nm, fn in constants.items():
         def counted(spec, obs, lam, *args, _fn=fn, _nm=nm, **kwargs):
-            calls.append((_nm, spec.band(lam).size))
+            calls.append((_nm, spec.band(lam).size, threading.get_ident()))
             return _fn(spec, obs, lam, *args, **kwargs)
         monkeypatch.setattr(heatlab.experiments, f"constant_{nm}", counted)
     _, checks, out = run(dict(cfg), out_dir=tmp_path / "sweep", threads=2)
     assert all(checks.values())
-    assert sorted(calls) == [(nm, k) for nm in sorted(norms) for k in (1, 2, 3)]
+    # in order, on the caller's thread: each norm's distinct bands by ascending size
+    assert calls == [(nm, k, threading.get_ident()) for nm in norms for k in (1, 2, 3)]
     assert (out / "sweep.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
