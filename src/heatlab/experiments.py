@@ -268,8 +268,8 @@ def _lambda_grid(cfg):
 
 
 def _norms(cfg, obs):
-    """The norms a constant sweep computes: l2 and l1 on a cell mask, sup on
-    a point cloud."""
+    """The norms a constant sweep computes, each once: l2 and l1 on a cell
+    mask, sup on a point cloud."""
     allowed = ("l2", "l1") if obs.kind == CELL_MASK else ("sup",)
     norms = cfg.get("norms", list, [allowed[0]])
     if not norms:
@@ -277,6 +277,8 @@ def _norms(cfg, obs):
     for nm in norms:
         if nm not in allowed:
             raise cfg.fault("norms", f"a {obs.kind} set takes {list(allowed)}, got {nm!r}")
+    if len(set(norms)) < len(norms):
+        raise cfg.fault("norms", f"names a norm more than once: {norms}")
     return norms
 
 

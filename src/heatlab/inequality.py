@@ -168,37 +168,38 @@ def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> Sup
     program g(V[y]) = max { V[y] u : A u <= 1 }, where V is the band basis,
     P its m cloud rows and A = [P; -P].
 
-    Only nodes that can still win are settled. LP duality bounds g for every
-    node at once: for any lambda, g(c) <= ||lambda||_1 +
-    ||c - P^T lambda||_2 sqrt(m) / sigma_min(P), taken at
-    lambda = pinv(P^T) c. g is sublinear, so each solved node y0 tightens
-    the bound to g(V[y0]) + bound(V[y] - V[y0]). An ascent from the node
-    with the largest bound (solve, jump to argmax |V u*|, until a node
-    repeats) finds a large value early; the other nodes are then settled in
-    order of decreasing bound while the bound reaches the best value within
-    the solver's feasibility tolerance. A skipped node is certified not to
-    beat the best, so the value is that of one LP per node.
+    Every node carries an upper bound on g, and nodes are settled one at a
+    time, always the open node with the largest bound, until no bound
+    reaches the best value within the solver's feasibility tolerance. A
+    skipped node is certified not to beat the best, so the value is that of
+    one LP per node. Two mechanisms set the bounds and settle the nodes.
 
-    Most nodes share their optimal vertex, so one solve settles many. After
-    each HiGHS solve, k independent rows of A active at its vertex (picked
-    by QR with column pivoting) form a basis B with vertex u_B = A_B^-1 1,
-    kept only if u_B is feasible within the solver's tolerance and
-    cond(A_B) <= _BASIS_MAX_COND. Row y of V A_B^-1 is the dual lambda of
-    node y on B; lambda >= 0 proves u_B optimal for y (basis optimality:
-    V[y] u = lambda A_B u <= lambda 1 = V[y] u_B for every feasible u), so
-    g(V[y]) = V[y] u_B with no LP and no tolerance. Every open node is
-    tested against each new basis, which is then dropped: its verdict on a
-    node never changes. Certified values raise the best value but are not
-    chained onto the bounds: that costs O(n m) per certified node and saved
-    at most one LP in 160 on the Cantor clouds measured. The solved node takes its
-    value from its basis too, unless that basis does not certify it, or its
-    vertex has fewer than k active rows or an ill-conditioned or infeasible
-    basis; then it keeps the solver's value.
+    A priori, LP duality bounds g for every node at once: for any lambda,
+    g(c) <= ||lambda||_1 + ||c - P^T lambda||_2 sqrt(m) / sigma_min(P),
+    taken at lambda = pinv(P^T) c.
 
-    A rank-deficient P makes every bound infinite, so every node is settled
-    until the first unbounded LP. Returns inf when some band combination
-    vanishes on the whole cloud. `lp_solved`, `lp_certified` and `lp_pruned`
-    count the nodes solved, certified and skipped; they add up to the nodes.
+    After each HiGHS solve, k independent rows of A active at its vertex
+    (picked by QR with column pivoting) form a basis B with vertex
+    u_B = A_B^-1 1, kept only if u_B is feasible within the solver's
+    tolerance and cond(A_B) <= _BASIS_MAX_COND. Row y of Lambda = V A_B^-1
+    is the dual of node y on B. Every row of A_B is a cloud row or its
+    negative, so |A_B u| <= 1 for every feasible u, and g(V[y]) =
+    max Lambda_y A_B u <= ||Lambda_y||_1 lowers every open bound. Lambda_y >= 0 proves u_B
+    optimal for y (basis optimality: V[y] u <= Lambda_y 1 = V[y] u_B), so
+    g(V[y]) = V[y] u_B with no LP and no tolerance: y is certified. The
+    solved node takes its value from its basis too, unless that basis does
+    not certify it, or its vertex has fewer than k active rows or an
+    ill-conditioned or infeasible basis; then it keeps the solver's value.
+    Each basis is dropped once its bounds and certificates are applied.
+    Lambda is solved from A_B, so its error is about cond(A_B) * eps
+    relative, below about 1e-10 at the condition cap; the
+    LP_FEASIBILITY_TOL slack on pruning covers it.
+
+    A rank-deficient P makes every a-priori bound infinite and has no basis,
+    so every node is solved until the first unbounded LP. Returns inf when
+    some band combination vanishes on the whole cloud. `lp_solved`,
+    `lp_certified` and `lp_pruned` count the nodes solved, certified and
+    skipped; they add up to the nodes.
     """
     band = _band(spectrum, lam_max)
     V = spectrum.vectors[:, band]
@@ -209,17 +210,13 @@ def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> Sup
     sigma_min = sigma[-1] - sigma[0] * max(m, k) * np.finfo(float).eps if m >= k else 0.0
     scale = math.sqrt(m) / sigma_min if sigma_min > 0 else math.inf
     dual = V @ np.linalg.pinv(P)          # row y: pinv(P^T) V[y]
-    resid = V - dual @ P
-
-    def bound(dual_rows, resid_rows):
-        with np.errstate(invalid="ignore"):   # 0 * inf: a zero residual proves nothing
-            slack = np.linalg.norm(resid_rows, axis=-1) * scale
-        return np.abs(dual_rows).sum(axis=-1) + np.where(np.isnan(slack), np.inf, slack)
-
+    with np.errstate(invalid="ignore"):   # 0 * inf: a zero residual proves nothing
+        slack = np.linalg.norm(V - dual @ P, axis=1) * scale
+    # the a-priori bound of every node; -inf marks a settled node
+    upper = np.abs(dual).sum(axis=1) + np.where(np.isnan(slack), np.inf, slack)
     A_ub = np.vstack([P, -P])
     b_ub = np.ones(2 * m)
     bounds = [(None, None)] * k
-    upper = bound(dual, resid)            # -inf marks a settled node
     best, solved, certified = 0.0, 0, 0
 
     def basis(res):
@@ -249,8 +246,10 @@ def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> Sup
             return None
         return u, np.linalg.solve(A_B.T, V.T).T
 
-    y, ascending = int(np.argmax(upper)), True
     while True:
+        y = int(np.argmax(upper))
+        if upper[y] < best * (1 - LP_FEASIBILITY_TOL):
+            break
         res = scipy.optimize.linprog(-V[y], A_ub=A_ub, b_ub=b_ub, bounds=bounds,
                                      method="highs")
         solved += 1
@@ -274,17 +273,8 @@ def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> Sup
                 certified += int(proven.sum())
                 best = max(best, (V[proven] @ u).max())
                 upper[proven] = -np.inf
+            np.minimum(upper, np.abs(lam).sum(axis=1), out=upper)
         best = max(best, value)
-        open_ = upper > -np.inf           # chain the solved node onto the open bounds
-        upper[open_] = np.minimum(upper[open_], value + bound(dual[open_] - dual[y],
-                                                              resid[open_] - resid[y]))
-        if ascending:                     # jump to where u* peaks until a node repeats
-            y = int(np.argmax(np.abs(V @ res.x)))
-            ascending = upper[y] > -np.inf
-        if not ascending:
-            y = int(np.argmax(upper))
-            if upper[y] < best * (1 - LP_FEASIBILITY_TOL):
-                break
     return SupConstant(float(best), solved, certified, int(np.sum(upper > -np.inf)))
 
 

@@ -263,6 +263,7 @@ BAD_COEFFICIENTS = [
     (dict(SWEEP, lambda_grid={"min": "a", "max": 3.0, "count": 5}), "lambda_grid.min"),
     (dict(SPECTRUM, out=7), "out"),
     (dict(SWEEP, norms=[]), "norms"),
+    (dict(SWEEP, norms=["l2", "l1", "l2"]), "norms"),
     (dict(SWEEP, lambda_grid=[3, 2, 4, 5, 6]), "lambda_grid"),
     (dict(SWEEP, lambda_grid={"min": 5, "max": 3, "count": 5}), "lambda_grid"),
     (dict(CONTROL, mode="distributed", set={"kind": "cantor", "ratio": 0.3, "levels": 3}),
@@ -288,7 +289,7 @@ BAD_COEFFICIENTS = [
         "spectrum-count-zero", "spectrum-count-above-unknowns", "u0-mode-above-modes",
         "u0-amplitude-not-a-number", "t-not-a-number", "set-bound-not-a-number",
         "domain-length-not-a-number", "grid-min-not-a-number", "out-not-a-path",
-        "norms-empty", "grid-list-not-increasing", "grid-min-above-max", "distributed-on-cantor",
+        "norms-empty", "norms-repeated", "grid-list-not-increasing", "grid-min-above-max", "distributed-on-cantor",
         "lip-g-not-a-number", "lip-g-null", "g-base-not-a-number", "kappa-base-null",
         "coefficient-seed-set", "lip-g-missing", "lip-kappa-negative",
         "kappa-not-a-number", "g-matrix-true", "csv-not-a-path", "unknown-coefficient-kind",

@@ -270,6 +270,7 @@ def test_constant_sup_on_a_planar_cantor_cloud_is_exact_in_linear_memory():
     spec = compute_spectrum(assemble(dom, constant_coefficients(dom)))
     cloud = cantor_set(dom, 1 / 3, 3)
     n, m = dom.n_unknowns, cloud.points.size
+    solved = 0
     for modes in (3, 6, 10):
         lam = cutoff_after(spec, modes)
         tracemalloc.start()
@@ -281,6 +282,9 @@ def test_constant_sup_on_a_planar_cantor_cloud_is_exact_in_linear_memory():
         assert got.lp_solved + got.lp_certified + got.lp_pruned == n
         assert got.value == pytest.approx(exhaustive_sup(spec, cloud, lam), rel=1e-12)
         assert peak <= 8 * (8 * n * m)   # a few float64 n x m arrays
+        solved += got.lp_solved
+    # each accepted basis bounds every open node by its ||Lambda_y||_1
+    assert solved <= 50
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
