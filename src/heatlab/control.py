@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SynthesisFailureError
-from .inequality import TimeSequence
+from .inequality import TimeSequence, observed_band_svd
 from .obsets import CELL_MASK, ObservationSet
 from .spectrum import Spectrum
 
 DEFAULT_C_LAMBDA = math.log(65536.0)   # per-step tail decay e^{-c} = 2^-16 <= 1/4
 DEFAULT_GRAM_FLOOR = 1e-10
-DEFAULT_COND_FLOOR = 1e-7
 # Blind-support detection: genuinely unreachable modes leave O(1) relative
 # moment residuals, while refined solves at the conditioning cap sit near
 # eps * cond << this threshold.
@@ -126,9 +125,10 @@ def _solve_step(spectrum: Spectrum, obs: ObservationSet, band: np.ndarray,
 
 def observable_cutoff(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> float:
     """Largest frequency cutoff whose moment system stays numerically solvable:
-    restricted-Gram minimum eigenvalue above DEFAULT_GRAM_FLOOR for masks,
-    singular value ratio above DEFAULT_COND_FLOOR for clouds. The scan stops
-    early at the first failing band and never looks past `lam_max`."""
+    restricted-Gram minimum eigenvalue above DEFAULT_GRAM_FLOOR for masks, and
+    for clouds the LP_FEASIBILITY_TOL floor that constant_sup shares
+    (inequality.observed_band_svd). The scan stops early at the first failing
+    band and never looks past `lam_max`."""
     freqs = spectrum.frequencies
     n_scan = max(int(np.sum(freqs <= lam_max)), 1)
     if obs.kind == CELL_MASK:
@@ -136,12 +136,7 @@ def observable_cutoff(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -
         solvable = lambda k: np.linalg.eigvalsh(obs.gram(V[:, :k]))[0] >= DEFAULT_GRAM_FLOOR
     else:
         P = obs.rows(spectrum.vectors)
-
-        def solvable(k):
-            if k > P.shape[0]:
-                return False   # k moments on fewer points: never solvable
-            sv = np.linalg.svd(P[:, :k].T, compute_uv=False)
-            return sv[-1] / sv[0] >= DEFAULT_COND_FLOOR
+        solvable = lambda k: observed_band_svd(P[:, :k]) is not None
 
     ok = 0
     for k in range(1, n_scan + 1):

@@ -42,6 +42,7 @@ from .domain import (
 from .doubling import build_chart, double_domain, extend_eigenfunction, pseudo_geodesic_diag
 from .errors import ArgumentError, ConfigError, InsufficientDataError
 from .inequality import (
+    GROWTH_FIT_MIN_POINTS,
     constant_l1,
     constant_l2,
     constant_sup,
@@ -262,8 +263,8 @@ def _lambda_grid(cfg):
         grid = np.linspace(spec.number("min"), spec.number("max"), spec.integer("count", least=1))
     else:
         grid = np.asarray(cfg.numbers("lambda_grid"), dtype=float)
-    if grid.size < 1 or np.any(np.diff(grid) <= 0):
-        raise cfg.fault("lambda_grid", "grid must be strictly increasing and nonempty")
+    if grid.size < GROWTH_FIT_MIN_POINTS or np.any(np.diff(grid) <= 0):
+        raise cfg.fault("lambda_grid", f"need {GROWTH_FIT_MIN_POINTS}+ strictly increasing cutoffs")
     return grid
 
 
@@ -454,18 +455,21 @@ def run_constant_sweep(plan: RunPlan, out: Path, log):
             by_size = {k: c.value for k, c in by_size.items()}
         consts = [by_size[k] for k in sizes]
         rows += [(nm, lam, c) for lam, c in zip(grid, consts)]
-        fit = fit_growth(grid, consts)
-        summary["fits"][nm] = {
-            "prefactor": fit.prefactor, "rate": fit.rate,
-            "r_squared": fit.r_squared, "n_points": fit.n_points,
-            "degenerate": fit.degenerate,
-        }
-        log(f"{nm}: C in [{min(consts):.6g}, {max(consts):.6g}], "
-            f"rate {fit.rate:.6g}, r2 {fit.r_squared:.4f}")
         finite = [c for c in consts if math.isfinite(c)]
         checks[f"{nm}_finite"] = len(finite) == len(consts)
         if nm == "l2":
             checks["l2_at_least_one"] = all(c >= 1 - 1e-9 for c in finite)
+        try:
+            fit = fit_growth(grid, consts)
+        except InsufficientDataError as exc:  # too few finite constants is reportable
+            summary.setdefault("fits_skipped", {})[nm] = str(exc)
+            log(f"{nm}: C in [{min(consts):.6g}, {max(consts):.6g}], fit skipped: {exc}")
+            continue
+        summary["fits"][nm] = {"prefactor": fit.prefactor, "rate": fit.rate,
+                               "r_squared": fit.r_squared, "n_points": fit.n_points,
+                               "degenerate": fit.degenerate}
+        log(f"{nm}: C in [{min(consts):.6g}, {max(consts):.6g}], "
+            f"rate {fit.rate:.6g}, r2 {fit.r_squared:.4f}")
         checks[f"{nm}_rate_nonnegative"] = fit.degenerate or fit.rate >= -1e-6
     write_csv(out / "sweep.csv", ["norm", "lambda", "constant"], rows)
     return summary, checks

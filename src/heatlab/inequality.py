@@ -27,6 +27,18 @@ _BASIS_MAX_COND = 1e4   # a sup basis beyond this (solve error ~cond*eps > 2e-12
 _L1_RESTARTS = 16       # IRLS starts: the Gram minimizer plus seeded random ones
 _L1_MAX_ITER = 200      # IRLS iterations per start
 _L1_TOL = 1e-8          # relative change of the L1 norm that ends a start
+GROWTH_FIT_MIN_POINTS = 5   # finite sweep points a growth fit needs, and cutoffs a sweep needs
+
+
+def observed_band_svd(P: np.ndarray):
+    """Thin SVD (U, sigma, Vt) of a cloud's band rows P (points x modes) if the
+    cloud observes the band, else None: it has at least as many points as
+    modes, and sigma_min / sigma_max >= LP_FEASIBILITY_TOL, the LP solver's
+    resolution. The one floor of constant_sup and the control cutoff."""
+    if P.shape[0] < P.shape[1]:
+        return None
+    U, sigma, Vt = np.linalg.svd(P, full_matrices=False)
+    return (U, sigma, Vt) if sigma[-1] >= LP_FEASIBILITY_TOL * sigma[0] else None
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +62,9 @@ def fit_growth(lambdas, constants) -> GrowthFit:
     if lambdas.shape != constants.shape:
         raise ValueError("lambda grid and constants differ in length")
     finite = np.isfinite(constants) & (constants > 0)
-    if np.count_nonzero(finite) < 5:
-        raise InsufficientDataError(
-            f"growth fit needs at least 5 finite sweep points, have {np.count_nonzero(finite)}")
+    if np.count_nonzero(finite) < GROWTH_FIT_MIN_POINTS:
+        raise InsufficientDataError(f"growth fit needs at least {GROWTH_FIT_MIN_POINTS} "
+                                    f"finite sweep points, have {np.count_nonzero(finite)}")
     x = lambdas[finite]
     y = np.log(constants[finite])
     if float(y.max() - y.min()) < 1e-12:
@@ -195,9 +207,10 @@ def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> Sup
     relative, below about 1e-10 at the condition cap; the
     LP_FEASIBILITY_TOL slack on pruning covers it.
 
-    A rank-deficient P makes every a-priori bound infinite and has no basis,
-    so every node is solved until the first unbounded LP. Returns inf when
-    some band combination vanishes on the whole cloud. `lp_solved`,
+    Below the floor it shares with the control cutoff (observed_band_svd:
+    sigma_min / sigma_max of P under LP_FEASIBILITY_TOL) the value is inf,
+    before any LP and with every node pruned; above it P has full column
+    rank, every LP is bounded, and a solver failure raises. `lp_solved`,
     `lp_certified` and `lp_pruned` count the nodes solved, certified and
     skipped; they add up to the nodes.
     """
@@ -205,15 +218,14 @@ def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> Sup
     V = spectrum.vectors[:, band]
     P = obs.rows(V)
     m, k = P.shape
-    # sigma_min less the SVD's backward error: a numerically singular P counts as singular
-    sigma = np.linalg.svd(P, compute_uv=False)
-    sigma_min = sigma[-1] - sigma[0] * max(m, k) * np.finfo(float).eps if m >= k else 0.0
-    scale = math.sqrt(m) / sigma_min if sigma_min > 0 else math.inf
-    dual = V @ np.linalg.pinv(P)          # row y: pinv(P^T) V[y]
-    with np.errstate(invalid="ignore"):   # 0 * inf: a zero residual proves nothing
-        slack = np.linalg.norm(V - dual @ P, axis=1) * scale
+    svd = observed_band_svd(P)
+    if svd is None:
+        return SupConstant(float("inf"), 0, 0, V.shape[0])
+    U, sigma, Vt = svd
+    scale = math.sqrt(m) / (sigma[-1] - sigma[0] * m * np.finfo(float).eps)  # sigma_min less SVD error
+    dual = V @ (Vt.T @ ((1 / sigma)[:, None] * U.T))   # row y: pinv(P^T) V[y]
     # the a-priori bound of every node; -inf marks a settled node
-    upper = np.abs(dual).sum(axis=1) + np.where(np.isnan(slack), np.inf, slack)
+    upper = np.abs(dual).sum(axis=1) + np.linalg.norm(V - dual @ P, axis=1) * scale
     A_ub = np.vstack([P, -P])
     b_ub = np.ones(2 * m)
     bounds = [(None, None)] * k
@@ -221,24 +233,15 @@ def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> Sup
 
     def basis(res):
         """(u_B, V A_B^-1) for k independent rows active at the solver's
-        vertex, or None. Rows are picked by QR with column pivoting: each
-        step takes the row farthest from the span of those already picked.
-        Rows that carry the solver's dual are weighted up so they go first:
-        at a degenerate vertex B is then the solver's own optimal basis."""
+        vertex, or None. Rows are picked by LAPACK's QR with column pivoting
+        (geqp3): each step takes the row farthest from the span of those
+        already picked. Rows that carry the solver's dual are weighted up so
+        they go first: at a degenerate vertex B is the solver's own basis."""
         on = np.flatnonzero(A_ub @ res.x >= 1 - 1e-9)
         if on.size < k:
             return None
         left = A_ub[on] * np.where(res.ineqlin.marginals[on] != 0, 2.0 ** 20, 1.0)[:, None]
-        picked = []
-        for _ in range(k):
-            norms = np.linalg.norm(left, axis=1)
-            j = int(np.argmax(norms))
-            if not norms[j] > 0:
-                return None
-            picked.append(j)
-            q = left[j] / norms[j]
-            left = left - np.outer(left @ q, q)
-        A_B = A_ub[on[picked]]
+        A_B = A_ub[on[scipy.linalg.qr(left.T, mode="r", pivoting=True)[1][:k]]]
         if not np.linalg.cond(A_B) <= _BASIS_MAX_COND:
             return None
         u = np.linalg.solve(A_B, np.ones(k))
@@ -254,10 +257,6 @@ def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> Sup
                                      method="highs")
         solved += 1
         upper[y] = -np.inf
-        # u = 0 is feasible, so an infeasibility verdict (HiGHS presolve gives
-        # one for some unbounded LPs) can only be the dual's: unbounded as well
-        if res.status in (2, 3):
-            return SupConstant(float("inf"), solved, certified, int(np.sum(upper > -np.inf)))
         if res.status != 0:
             raise NumericalFailureError(f"sup-constant LP failed at node {y}",
                                         {"status": res.status, "message": res.message})

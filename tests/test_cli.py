@@ -266,6 +266,8 @@ BAD_COEFFICIENTS = [
     (dict(SWEEP, norms=["l2", "l1", "l2"]), "norms"),
     (dict(SWEEP, lambda_grid=[3, 2, 4, 5, 6]), "lambda_grid"),
     (dict(SWEEP, lambda_grid={"min": 5, "max": 3, "count": 5}), "lambda_grid"),
+    (dict(SWEEP, lambda_grid=[1.2, 2.4, 3.6, 4.8]), "lambda_grid"),
+    (dict(SWEEP, lambda_grid={"min": 1.5, "max": 6.5, "count": 4}), "lambda_grid"),
     (dict(CONTROL, mode="distributed", set={"kind": "cantor", "ratio": 0.3, "levels": 3}),
      "set"),
     *((dict(SPECTRUM, coefficients=c), f"coefficients.{f}") for c, f in zip(
@@ -289,7 +291,8 @@ BAD_COEFFICIENTS = [
         "spectrum-count-zero", "spectrum-count-above-unknowns", "u0-mode-above-modes",
         "u0-amplitude-not-a-number", "t-not-a-number", "set-bound-not-a-number",
         "domain-length-not-a-number", "grid-min-not-a-number", "out-not-a-path",
-        "norms-empty", "norms-repeated", "grid-list-not-increasing", "grid-min-above-max", "distributed-on-cantor",
+        "norms-empty", "norms-repeated", "grid-list-not-increasing", "grid-min-above-max",
+        "grid-four-cutoffs", "grid-count-four", "distributed-on-cantor",
         "lip-g-not-a-number", "lip-g-null", "g-base-not-a-number", "kappa-base-null",
         "coefficient-seed-set", "lip-g-missing", "lip-kappa-negative",
         "kappa-not-a-number", "g-matrix-true", "csv-not-a-path", "unknown-coefficient-kind",
@@ -377,7 +380,7 @@ EMPTY_BANDS = [
                            "ny": 30, "bc": "dirichlet"}, lambda_max=0.5),
     dict(SPECTRUM, lambda_max=0.5),
     dict(SWEEP, lambda_grid=[0.2, 0.3, 0.4, 0.5, 0.6]),
-    dict(SWEEP, lambda_grid=[0.5, 1.5, 2.5, 3.5]),
+    dict(SWEEP, lambda_grid=[0.5, 1.5, 2.5, 3.5, 4.5]),
 ]
 
 
@@ -553,6 +556,24 @@ def test_sup_sweep_logs_lp_counts(tmp_path):
     assert line == f"sup: {solved} LPs solved, {certified} certified, {pruned} pruned"
     assert solved + certified + pruned == 59 * 5
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def test_sweep_with_too_few_finite_constants_skips_its_fit(tmp_path):
+    # 15 points on a 61-cell interval observe at most 11 modes, so the sup
+    # constants of the 12- and 13-mode bands are inf and 3 of 5 are finite
+    nodes = [52, 49, 54, 49, 50, 56, 15, 57, 45, 23, 55, 45, 38, 59, 33, 57, 40, 49, 19, 50]
+    cfg = {"experiment": "constant-sweep", "domain": dict(INTERVAL, cells=61),
+           "coefficients": CONST, "seed": 0,
+           "set": {"kind": "points", "coords": [[(i + 1) * math.pi / 61] for i in nodes]},
+           "lambda_grid": [9.5, 10.5, 11.3, 12.3, 13.2], "norms": ["sup"]}
+    out = tmp_path / "s"
+    assert main(["run", str(write_cfg(tmp_path, cfg)), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["fits"] == {}
+    assert "have 3" in summary["fits_skipped"]["sup"]
+    assert summary["checks"] == {"sup_finite": False}
+    rows = (out / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert [r.split(",")[2] for r in rows][3:] == ["inf", "inf"]
 
 
 @pytest.mark.parametrize("set_, norms", [

@@ -1,4 +1,7 @@
+import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from heatlab import (
     full_domain_set,
     interpolation_check,
     interval_mask,
+    observable_cutoff,
     phung_wang_times,
     point_cloud,
     set_from_mask,
@@ -29,7 +33,7 @@ from heatlab import (
 )
 from heatlab.control import lr_schedule
 from heatlab.errors import InsufficientDataError, SearchFailureError
-from heatlab.inequality import LP_FEASIBILITY_TOL, TimeSequence
+from heatlab.inequality import LP_FEASIBILITY_TOL, TimeSequence, observed_band_svd
 from heatlab.spectrum import Spectrum
 
 
@@ -180,6 +184,7 @@ def test_constant_sup_oracles(setup):
     gscale = np.abs(G @ P.T).max(axis=1)
     gvals = np.abs(G @ V.T).max(axis=1) / gscale
     assert abs(c - gvals.max()) / c <= 0.02
+    assert c == pytest.approx(float(exhaustive_sup(spec, obs, lam)), rel=1e-12)
 
 
 def test_constant_sup_homogeneity(setup):
@@ -191,22 +196,99 @@ def test_constant_sup_homogeneity(setup):
     assert constant_sup(scaled, obs, lam).value == pytest.approx(c, rel=1e-8)
 
 
+def solve_exact(M, b):
+    """Integers N and D > 0 with M N = D b for a nonsingular integer matrix M
+    and integer vector b: Bareiss's fraction-free elimination, then back
+    substitution in rationals."""
+    rows = [list(r) + [v] for r, v in zip(M, b)]
+    n, prev = len(rows), 1
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        head = rows[col]
+        for r in range(col + 1, n):
+            row = rows[r]
+            rows[r] = [0] * (col + 1) + [(head[col] * row[j] - row[col] * head[j]) // prev
+                                         for j in range(col + 1, n + 1)]
+        prev = head[col]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - sum(rows[i][j] * x[j] for j in range(i + 1, n))) / Fraction(rows[i][i])
+    D = math.lcm(*(v.denominator for v in x))
+    return [int(v * D) for v in x], D
+
+
+def exact_lp_value(A, c, on, duals):
+    """Exact optimum of max c.u over A u <= 1, in rational arithmetic on the
+    float data, from the solver's vertex with active rows `on`. A basis B is
+    k independent rows, with vertex u_B = A_B^-1 1 and dual A_B^-T c. The
+    start is the first basis of the active rows whose vertex is exactly
+    feasible; the rows that carry the solver's dual go first, so that is the
+    solver's own basis unless round-off made it infeasible at a degenerate
+    vertex. Exact simplex pivots (Bland's rule) then move to a basis whose
+    dual is exactly nonnegative, which proves its vertex optimal: on a
+    dual-degenerate vertex the solver's zero duals come out as -1e-16. A
+    vertex with no exactly feasible basis fails."""
+    k = c.size
+    # floats are dyadic: scaled by their largest denominator, A u <= 1 and c
+    # become the integer rows A u <= scale and the integer cost
+    scale = max(Fraction(float(v)).denominator for v in np.append(A.ravel(), c))
+    rows = [[int(Fraction(float(v)) * scale) for v in row] for row in A]
+    cost = [int(Fraction(float(v)) * scale) for v in c]
+
+    def solve(B, rhs, transpose=False):
+        M = [rows[i] for i in B]
+        return solve_exact([list(col) for col in zip(*M)] if transpose else M, rhs)
+
+    def feasible(B):
+        if np.linalg.matrix_rank(A[list(B)]) < k:
+            return False
+        N, D = solve(B, [scale] * k)
+        return all(sum(a * n for a, n in zip(row, N)) <= scale * D for row in rows)
+
+    order = sorted(on, key=lambda i: (duals[i] == 0, -abs(duals[i])))
+    B = next((list(B) for B in itertools.combinations(order, k) if feasible(B)), None)
+    assert B is not None, "no basis of the solver's vertex is exactly feasible"
+    while True:
+        N, D = solve(B, cost, transpose=True)
+        neg = [j for j in range(k) if N[j] < 0]
+        if not neg:
+            return Fraction(sum(N), D)
+        j = min(neg, key=lambda j: B[j])          # Bland: the lowest row leaves B
+        Nu, Du = solve(B, [scale] * k)
+        Nd, _ = solve(B, [-(i == j) for i in range(k)])   # the edge leaving row j
+        step, enter = None, None
+        for i, row in enumerate(rows):
+            slope = sum(a * n for a, n in zip(row, Nd))
+            if i not in B and slope > 0:
+                t = Fraction(scale * Du - sum(a * n for a, n in zip(row, Nu)), slope)
+                if step is None or t < step:
+                    step, enter = t, i
+        assert enter is not None, "unbounded LP"
+        B[j] = enter
+
+
 def exhaustive_sup(spec, obs, lam):
-    """Reference sup constant: one linear program per grid node."""
+    """Reference sup constant, exact for the float data: one HiGHS linear
+    program per grid node, then the LP of every node within 1e-9 of the best
+    is re-solved in rational arithmetic from the solver's vertex, and the
+    largest exact value is returned as a Fraction. Call it only on a cloud
+    that observes the band."""
     band = spec.band(lam)
     V = spec.vectors[:, band]
     P = V[obs.domain.node_to_unknown[obs.points], :]
     A_ub = np.vstack([P, -P])
     b_ub = np.ones(2 * P.shape[0])
-    best = 0.0
+    solves = []
     for y in range(V.shape[0]):
         res = scipy.optimize.linprog(-V[y], A_ub=A_ub, b_ub=b_ub,
                                      bounds=[(None, None)] * band.size, method="highs")
-        if res.status in (2, 3):   # infeasible can only mean the dual: u = 0 is feasible
-            return np.inf
         assert res.status == 0, res.message
-        best = max(best, -res.fun)
-    return best
+        solves.append((-res.fun, y, res))
+    best = max(value for value, *_ in solves)
+    return max(exact_lp_value(A_ub, V[y], np.flatnonzero(res.ineqlin.residual <= 1e-9),
+                              res.ineqlin.marginals)
+               for value, y, res in solves if value >= best * (1 - 1e-9))
 
 
 @st.composite
@@ -232,25 +314,47 @@ def cutoff_after(spec, modes):
     return 0.5 * (f[modes - 1] + f[modes]) if modes < f.size else f[-1] + 1.0
 
 
+# A 15-point cloud on a 61-cell interval whose band rows lose rank between 11
+# and 12 modes (sigma_min / sigma_max 4.1e-6, then 9.1e-8): below the floor
+# HiGHS returned 1.1e7 and 5.7e8 at 12 and 13 modes, and failed at 14.
+ILL_CONDITIONED = (61, DIRICHLET, [52, 49, 54, 49, 50, 56, 15, 57, 45, 23,
+                                   55, 45, 38, 59, 33, 57, 40, 49, 19, 50])
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(problem=interval_problems())
 @example(problem=(40, DIRICHLET, [7, 7, 7], 1))            # one distinct node
-@example(problem=(20, DIRICHLET, [0], 3))                  # presolve calls unbounded LPs infeasible
+@example(problem=(20, DIRICHLET, [0], 3))                  # fewer points than modes
 @example(problem=(40, DIRICHLET, [3, 11, 11, 30], 4))      # duplicates, rank 3 < 4 modes
 @example(problem=(33, NEUMANN, [2, 9, 9, 20, 28, 28], 3))  # duplicates, full rank
 @example(problem=(25, DIRICHLET, [4, 15], 6))              # fewer points than modes
+@example(problem=(*ILL_CONDITIONED, 14))                   # sigma ratio 1.5e-11
 def test_constant_sup_pruning_matches_exhaustive(problem):
+    # Below the floor the constant is inf before any LP; above it, it is the
+    # exact value of one LP per node. Every draw is held to one of the two.
     cells, bc, nodes, modes = problem
     dom, spec = interval_spectrum(cells, bc)
     obs = point_cloud(dom, dom.unknown_coords()[nodes])
     lam = cutoff_after(spec, modes)
     got = constant_sup(spec, obs, lam)
-    want = exhaustive_sup(spec, obs, lam)
     assert got.lp_solved + got.lp_certified + got.lp_pruned == dom.n_unknowns
-    if np.isinf(want):
-        assert np.isinf(got.value)
+    if observed_band_svd(obs.rows(spec.vectors[:, spec.band(lam)])) is None:
+        assert np.isinf(got.value) and got.lp_solved == 0
     else:
-        assert got.value == pytest.approx(want, rel=1e-12)
+        assert got.value == pytest.approx(float(exhaustive_sup(spec, obs, lam)), rel=1e-12)
+
+
+def test_sup_and_control_cutoff_share_the_observability_floor():
+    # for every band, the sup constant is finite exactly when the control
+    # cutoff keeps the band
+    cells, bc, nodes = ILL_CONDITIONED
+    dom, spec = interval_spectrum(cells, bc)
+    obs = point_cloud(dom, dom.unknown_coords()[nodes])
+    kept = spec.band(observable_cutoff(spec, obs, lam_max=cutoff_after(spec, 15))).size
+    finite = [np.isfinite(constant_sup(spec, obs, cutoff_after(spec, k)).value)
+              for k in range(1, 16)]
+    assert finite == [k <= kept for k in range(1, 16)]
+    assert kept == 11
 
 
 def test_constant_sup_prunes_cantor_sweep(setup):
@@ -280,7 +384,7 @@ def test_constant_sup_on_a_planar_cantor_cloud_is_exact_in_linear_memory():
         finally:
             tracemalloc.stop()
         assert got.lp_solved + got.lp_certified + got.lp_pruned == n
-        assert got.value == pytest.approx(exhaustive_sup(spec, cloud, lam), rel=1e-12)
+        assert got.value == pytest.approx(float(exhaustive_sup(spec, cloud, lam)), rel=1e-12)
         assert peak <= 8 * (8 * n * m)   # a few float64 n x m arrays
         solved += got.lp_solved
     # each accepted basis bounds every open node by its ||Lambda_y||_1

@@ -2,7 +2,8 @@
 public top-level function or class of its modules, is used by the package
 itself outside its own definition, and every field of its dataclasses is read
 by the package, its tests or the benchmark; or the name is listed below with
-the acceptance criterion or roadmap item it backs."""
+the acceptance criterion or roadmap item it backs. Every module-level
+constant is read by the package."""
 
 import ast
 from pathlib import Path
@@ -98,3 +99,24 @@ def test_every_dataclass_field_is_read_or_has_a_reason():
     assert sorted(unread - set(UNREAD_FIELDS)) == [], "dataclass fields nothing reads"
     # an allow-listed field that gains a reader, or is deleted, comes off the list
     assert sorted(set(UNREAD_FIELDS) - unread) == []
+
+
+def module_constants(trees):
+    """Module-level UPPER_CASE names bound by an assignment, by module."""
+    return {f"{module}.{target.id}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.lstrip("_").isupper()}
+
+
+def test_every_module_constant_is_read():
+    # a read is a load of the name, or of an attribute of that name, anywhere
+    # in the package; an assignment only stores it
+    trees = module_trees()
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    constants = module_constants(trees)
+    assert len(constants) >= 20
+    assert sorted(c for c in constants if c.split(".")[1] not in read) == [], \
+        "module constants nothing reads"
