@@ -10,7 +10,6 @@ from .domain import (
     build_rectangle,
     coefficients_from_tables,
     constant_coefficients,
-    load_coefficients_csv,
     random_lipschitz_coefficients,
 )
 from .operators import DiscreteOperator, assemble

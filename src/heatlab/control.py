@@ -9,7 +9,7 @@ target's free trajectory e^{t Delta} v_0. A payload mu adds r_k <mu, e_k> to
 d_k at the window's balance time, with reach r_k = 1 for an impulse and the
 slab accumulation phi_k for a density, so the band lambda_k <= Lambda_j is
 cancelled while the remainder decays by at least e^{-Lambda_j^2 gap}. The
-frequency rule grows like sqrt(c_lambda / gap) but is capped at the support's
+frequency rule grows like sqrt(C_LAMBDA / gap) but is capped at the support's
 numerically observable band, where the moment systems stay solvable.
 """
 
@@ -25,7 +25,7 @@ from .inequality import TimeSequence, observed_band_svd
 from .obsets import CELL_MASK, ObservationSet
 from .spectrum import Spectrum
 
-DEFAULT_C_LAMBDA = math.log(65536.0)   # per-step tail decay e^{-c} = 2^-16 <= 1/4
+C_LAMBDA = math.log(65536.0)   # per-step tail decay e^{-c} = 2^-16 <= 1/4
 DEFAULT_GRAM_FLOOR = 1e-10
 # Blind-support detection: genuinely unreachable modes leave O(1) relative
 # moment residuals, while refined solves at the conditioning cap sit near
@@ -36,15 +36,12 @@ MOMENT_RTOL = 1e-6
 def lr_schedule(T: float, rho: float, n_steps: int) -> TimeSequence:
     """Control times t_j = T (1 - rho^(j+1)), j = 0..n_steps-1: the gaps
     (including the leading (0, t_0)) are geometric with ratio exactly rho, and
-    the dual observation gaps contract by rho exactly."""
-    if not (0 < rho < 1):
-        raise ValueError(f"gap ratio must lie in (0, 1), got {rho}")
-    if n_steps < 2:
-        raise ValueError("need at least 2 control steps")
-    if not T > 0:
-        raise ValueError("horizon must be positive")
-    j = np.arange(n_steps)
-    times = T * (1.0 - rho ** (j + 1))
+    the dual observation gaps contract by rho exactly. A tiny rho^n_steps
+    rounds the times together or onto T, which raises."""
+    times = T * (1.0 - rho ** (np.arange(n_steps) + 1))
+    if not (0 < rho < 1 and n_steps >= 2 and 0 < times[0] and times[-1] < T):
+        raise ValueError(f"need T > 0, rho in (0, 1), n_steps >= 2 and control times "
+                         f"inside (0, T): got T={T}, rho={rho}, n_steps={n_steps}")
     return TimeSequence(times, "lr_geometric", float(rho), float(T))
 
 
@@ -184,10 +181,9 @@ def _bounds(schedule: TimeSequence) -> np.ndarray:
     return np.concatenate([times, [T]])
 
 
-def _steer(spectrum: Spectrum, obs: ObservationSet, windows: list, u0, v0,
-           c_lambda: float) -> ControlSchedule:
+def _steer(spectrum: Spectrum, obs: ObservationSet, windows: list, u0, v0) -> ControlSchedule:
     """The steering loop over time-ordered windows (start, end, balance time,
-    reach, slabs): at the balance time the band lambda_k <= sqrt(c_lambda /
+    reach, slabs): at the balance time the band lambda_k <= sqrt(C_LAMBDA /
     (end - start)) of the deficit is cancelled by a control whose moments
     reach it times `reach`; a window with reach None carries no control. The
     first control makes the run's one cutoff scan, at the largest frequency a
@@ -197,7 +193,7 @@ def _steer(spectrum: Spectrum, obs: ObservationSet, windows: list, u0, v0,
     v0c = np.zeros_like(u0c) if v0 is None else spectrum.coefficients(v0)
     d = u0c - v0c
     d0 = float(np.linalg.norm(d))
-    lams = [math.sqrt(c_lambda / (end - start)) for start, end, *_ in windows]
+    lams = [math.sqrt(C_LAMBDA / (end - start)) for start, end, *_ in windows]
     lam_top = max((lam for lam, (*_, reach, _) in zip(lams, windows) if reach is not None),
                   default=0.0)
     T = windows[-1][1]
@@ -211,9 +207,9 @@ def _steer(spectrum: Spectrum, obs: ObservationSet, windows: list, u0, v0,
         if cap is None:
             cap = observable_cutoff(spectrum, obs, lam_max=lam_top)
             # no control reaches a mode above the cap, so the flow alone must
-            # damp it by e^{-c_lambda} between this first control and T
+            # damp it by e^{-C_LAMBDA} between this first control and T
             k = spectrum.band(cap).size
-            if k < spectrum.band(math.sqrt(c_lambda / (T - start))).size:
+            if k < spectrum.band(math.sqrt(C_LAMBDA / (T - start))).size:
                 raise SynthesisFailureError(f"support observes {k} modes, and mode {k} "
                                             "needs control", mode_index=k, step_index=j)
         band = spectrum.band(min(lam_j, cap))
@@ -227,7 +223,7 @@ def _steer(spectrum: Spectrum, obs: ObservationSet, windows: list, u0, v0,
 
 
 def synthesize(spectrum: Spectrum, obs: ObservationSet, schedule: TimeSequence,
-               u0, v0=None, c_lambda: float = DEFAULT_C_LAMBDA) -> ControlSchedule:
+               u0, v0=None) -> ControlSchedule:
     """Impulsive steering along the schedule's times.
 
     At each t_j the band lambda_k <= Lambda_j of the running deficit against
@@ -238,12 +234,11 @@ def synthesize(spectrum: Spectrum, obs: ObservationSet, schedule: TimeSequence,
     bounds = _bounds(schedule)
     ones = np.ones(spectrum.n_modes)
     windows = [(t, end, t, ones, ()) for t, end in zip(bounds[:-1], bounds[1:])]
-    return _steer(spectrum, obs, windows, u0, v0, c_lambda)
+    return _steer(spectrum, obs, windows, u0, v0)
 
 
 def distributed_control(spectrum: Spectrum, obs: ObservationSet, schedule: TimeSequence,
-                        n_slabs: int, u0, v0=None,
-                        c_lambda: float = DEFAULT_C_LAMBDA) -> ControlSchedule:
+                        n_slabs: int, u0, v0=None) -> ControlSchedule:
     """Steering by piecewise-constant-in-time densities on the cell-mask set
     E over the schedule's horizon T, cut into `n_slabs` equal time slabs: the
     windows run from one lr_schedule time to the next (the first from 0, the
@@ -265,7 +260,7 @@ def distributed_control(spectrum: Spectrum, obs: ObservationSet, schedule: TimeS
                              (np.exp(-lam2 * (te - b)) - np.exp(-lam2 * (te - a))) / safe)
                     for a, b in ((sl * dt, (sl + 1) * dt) for sl in slabs))
         windows.append((ts, te, te, reach if slabs.size else None, slabs))
-    return _steer(spectrum, obs, windows, u0, v0, c_lambda)
+    return _steer(spectrum, obs, windows, u0, v0)
 
 
 @dataclass(eq=False)

@@ -4,14 +4,13 @@ coefficient fields (metric g, density kappa) sampled at the nodes.
 Nodes and cells are numbered flat, row-major over their per-axis indices
 (last axis fastest). The numbering is private to `Domain`: other modules go
 through `node_index`, `node_multi_index`, `cell_multi_index` and `edges`;
-only sampled coefficient tables (`load_coefficients_csv`) name nodes by their
-flat number. Unknowns are the interior nodes under Dirichlet conditions and
+only sampled coefficient tables (`coefficients_from_tables`) name nodes by
+their flat number. Unknowns are the interior nodes under Dirichlet conditions and
 all nodes under Neumann conditions.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,10 +242,11 @@ def _reflected_walk(rng, n_steps, base, lip, h):
 
 
 def random_lipschitz_coefficients(domain: Domain, lip_g: float, lip_kappa: float,
-                                  seed: int, g_base=1.0, kappa_base=1.0) -> CoefficientField:
+                                  seed: int) -> CoefficientField:
     """Piecewise-linear random fields whose axis-wise difference quotients stay
     within the declared bounds: each is a sum over the axes of per-axis
-    profiles with base/d and bound/d. The metric stays diagonal."""
+    profiles with base 1/d and bound/d, so it stays within [0.6, 1.4]. The
+    metric stays diagonal."""
     rng = np.random.default_rng(seed)
     d = domain.dimension
 
@@ -256,10 +256,10 @@ def random_lipschitz_coefficients(domain: Domain, lip_g: float, lip_kappa: float
             total = np.add.outer(total, _reflected_walk(rng, n, base / d, lip / d, h))
         return total.ravel()
 
-    kappa = separable(kappa_base, lip_kappa)
+    kappa = separable(1.0, lip_kappa)
     g = np.zeros((domain.n_nodes_total, d, d))
     for a in range(d):
-        g[:, a, a] = separable(g_base, lip_g)
+        g[:, a, a] = separable(1.0, lip_g)
     return _finalize(domain, g, kappa, lip_g, lip_kappa)
 
 
@@ -269,25 +269,3 @@ def coefficients_from_tables(domain: Domain, g, kappa,
     difference quotients; tighter declarations raise if violated."""
     return _finalize(domain, g, kappa, lip_g, lip_kappa)
 
-
-def load_coefficients_csv(domain: Domain, path, lip_g=None, lip_kappa=None) -> CoefficientField:
-    """Load node tables from CSV rows `node_index, g entries row-major, kappa`."""
-    d = domain.dimension
-    want = 1 + d * d + 1
-    g = np.zeros((domain.n_nodes_total, d, d))
-    kappa = np.zeros(domain.n_nodes_total)
-    seen = np.zeros(domain.n_nodes_total, dtype=bool)
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if len(row) != want:
-                raise ValueError(f"coefficient CSV row has {len(row)} fields, expected {want}")
-            i = int(row[0])
-            vals = [float(v) for v in row[1:]]
-            g[i] = np.array(vals[:d * d]).reshape(d, d)
-            kappa[i] = vals[-1]
-            seen[i] = True
-    if not seen.all():
-        raise ValueError(f"coefficient CSV is missing {np.count_nonzero(~seen)} node rows")
-    return _finalize(domain, g, kappa, lip_g, lip_kappa)

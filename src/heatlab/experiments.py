@@ -14,6 +14,7 @@ import concurrent.futures  # unused here; perfbench's tracer patches its pool
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,6 @@ import numpy as np
 
 from . import __version__ as _version
 from .control import (
-    DEFAULT_C_LAMBDA,
     cost_report,
     distributed_control,
     lr_schedule,
@@ -36,7 +36,6 @@ from .domain import (
     build_rectangle,
     coefficients_from_tables,
     constant_coefficients,
-    load_coefficients_csv,
     random_lipschitz_coefficients,
 )
 from .doubling import build_chart, double_domain, extend_eigenfunction, pseudo_geodesic_diag
@@ -99,10 +98,13 @@ class _Section:
     `<path>.<field>`, so a nested fault names its section by construction.
     A number is a finite int or float and an integer an int; a JSON boolean
     is neither. An absent field takes its default, and a field whose default
-    is None also takes null."""
+    is None also takes null. The reader is the schema: `close()` rejects
+    every key that no read took, and a `with` block closes its reader when
+    it is left without a fault."""
 
     def __init__(self, spec, path=""):
         self.spec, self.path = spec, path
+        self.taken, self.opened = set(), []
 
     def name(self, field):
         return f"{self.path}.{field}" if self.path else field
@@ -110,8 +112,24 @@ class _Section:
     def fault(self, field, message):
         return ConfigError(self.name(field), message)
 
+    def close(self):
+        """Raise on a key that no read took, here or in a section opened from here."""
+        for key in self.spec or ():
+            if key not in self.taken:
+                raise self.fault(key, "not a field of this experiment or kind")
+        for sec in self.opened:
+            sec.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        if exc_type is None:
+            self.close()
+
     def get(self, field, kind, default=_REQUIRED):
         """The field, checked to be a `kind` (a key of _KIND_NAMES)."""
+        self.taken.add(field)
         if field not in self.spec:
             if default is _REQUIRED:
                 raise self.fault(field, "required field is missing")
@@ -124,8 +142,10 @@ class _Section:
         return v
 
     def section(self, field, default=_REQUIRED):
-        """The object `field` as a reader of its own."""
-        return _Section(self.get(field, dict, default), self.name(field))
+        """The object `field` as a reader of its own, closed with this one."""
+        sec = _Section(self.get(field, dict, default), self.name(field))
+        self.opened.append(sec)
+        return sec
 
     def choice(self, field, options, default=_REQUIRED):
         v = self.get(field, str, default)
@@ -133,13 +153,15 @@ class _Section:
             raise self.fault(field, f"must be one of {options}, got {v!r}")
         return v
 
-    def number(self, field, default=_REQUIRED, above=None, least=None):
-        """A finite number as a float, > `above` or >= `least` when given."""
+    def number(self, field, default=_REQUIRED, above=None, least=None, below=None):
+        """A finite number as a float, > `above` or >= `least`, < `below`, when given."""
         v = self.get(field, (int, float), default)
         # a bound on |v| rather than math.isfinite, which overflows on a huge int
         if v is not None and not (abs(v) <= sys.float_info.max and (above is None or v > above)
-                                  and (least is None or v >= least)):
+                                  and (least is None or v >= least)
+                                  and (below is None or v < below)):
             bound = f" > {above}" if above is not None else "" if least is None else f" >= {least}"
+            bound += "" if below is None else f" and < {below}"
             raise self.fault(field, f"must be a finite number{bound}")
         return v if v is None else float(v)
 
@@ -168,13 +190,14 @@ class _Section:
 
 
 def build_domain(spec) -> object:
-    sec = _Section(spec, "domain")
-    kind = sec.choice("kind", ("interval", "rectangle"))
-    bc = sec.choice("bc", (DIRICHLET, NEUMANN))
-    if kind == "interval":
-        return build_interval(sec.number("length", above=0), sec.integer("cells", least=2), bc)
-    return build_rectangle(sec.number("lx", above=0), sec.number("ly", above=0),
-                           sec.integer("nx", least=2), sec.integer("ny", least=2), bc)
+    with _Section(spec, "domain") as sec:
+        kind = sec.choice("kind", ("interval", "rectangle"))
+        bc = sec.choice("bc", (DIRICHLET, NEUMANN))
+        if kind == "interval":
+            return build_interval(sec.number("length", above=0),
+                                  sec.integer("cells", least=2), bc)
+        return build_rectangle(sec.number("lx", above=0), sec.number("ly", above=0),
+                               sec.integer("nx", least=2), sec.integer("ny", least=2), bc)
 
 
 def build_coefficients(domain, spec, seed):
@@ -183,27 +206,22 @@ def build_coefficients(domain, spec, seed):
     before the field is built, and a piecewise-linear field is drawn with the
     run's seed. A declared Lipschitz bound is a number >= 0; a sampled field
     without one takes the measured quotient."""
-    sec = _Section(spec, "coefficients")
-    if "seed" in spec:
-        raise sec.fault("seed", "the run's seed draws the coefficients")
-    kind = sec.choice("kind", ("constant", "piecewise_linear", "sampled"))
     d, n = domain.dimension, domain.n_nodes_total
-    try:
-        if kind == "constant":
-            g = ([row.numbers("g", d) for row in sec.items("g", d)]
-                 if isinstance(spec.get("g"), list) else sec.number("g", 1.0, above=0))
-            return constant_coefficients(domain, g, sec.number("kappa", 1.0, above=0))
-        if kind == "piecewise_linear":
-            return random_lipschitz_coefficients(
-                domain, sec.number("lip_g", least=0), sec.number("lip_kappa", least=0), seed,
-                sec.number("g_base", 1.0, above=0), sec.number("kappa_base", 1.0, above=0))
-        lips = sec.number("lip_g", None, least=0), sec.number("lip_kappa", None, least=0)
-        if "csv" in spec:
-            return load_coefficients_csv(domain, sec.get("csv", str), *lips)
-        g = [[row.numbers("g", d) for row in m.items("g", d)] for m in sec.items("g", n)]
-        return coefficients_from_tables(domain, g, sec.numbers("kappa", n), *lips)
-    except (ValueError, TypeError, OSError) as exc:
-        raise ConfigError(sec.path, str(exc)) from exc
+    with _Section(spec, "coefficients") as sec:
+        kind = sec.choice("kind", ("constant", "piecewise_linear", "sampled"))
+        try:
+            if kind == "constant":
+                g = ([row.numbers("g", d) for row in sec.items("g", d)]
+                     if isinstance(spec.get("g"), list) else sec.number("g", 1.0, above=0))
+                return constant_coefficients(domain, g, sec.number("kappa", 1.0, above=0))
+            if kind == "piecewise_linear":
+                return random_lipschitz_coefficients(
+                    domain, sec.number("lip_g", least=0), sec.number("lip_kappa", least=0), seed)
+            lips = sec.number("lip_g", None, least=0), sec.number("lip_kappa", None, least=0)
+            g = [[row.numbers("g", d) for row in m.items("g", d)] for m in sec.items("g", n)]
+            return coefficients_from_tables(domain, g, sec.numbers("kappa", n), *lips)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(sec.path, str(exc)) from exc
 
 
 # Set-constructor arguments named otherwise than the set field they come from.
@@ -214,28 +232,30 @@ def build_set(domain, spec, seed, kappa):
     """The observation set a `set` spec describes. A constructor's range
     fault names its argument, and is reported as the set field it came from;
     a fault that no one field carries is reported as `set`."""
-    sec = _Section(spec, "set")
-    kind = sec.choice("kind", ("full", "interval", "box", "random", "cantor", "points"))
-    try:
-        if kind == "full":
-            return full_domain_set(domain, kappa)
-        if kind == "random":
-            return random_set(domain, sec.number("measure"), seed, kappa)
-        if kind == "points":
-            return point_cloud(domain, [p.numbers("coords", domain.dimension)
-                                        for p in sec.items("coords")])
-        if kind == "cantor":
-            placed = "from" in spec or "to" in spec
-            return cantor_set(domain, sec.number("ratio"), sec.integer("levels"),
-                              (sec.number("from"), sec.number("to")) if placed else None,
-                              sec.numbers("transverse", 2, None))
-        mask = (interval_mask(domain, sec.number("from"), sec.number("to")) if kind == "interval"
-                else box_mask(domain, *(sec.number(f) for f in ("x0", "x1", "y0", "y1"))))
-        return set_from_mask(domain, mask, kappa)
-    except ArgumentError as exc:
-        raise sec.fault(_SET_FIELDS.get(exc.arg, exc.arg), str(exc)) from exc
-    except ValueError as exc:
-        raise ConfigError(sec.path, str(exc)) from exc
+    with _Section(spec, "set") as sec:
+        kind = sec.choice("kind", ("full", "interval", "box", "random", "cantor", "points"))
+        try:
+            if kind == "full":
+                return full_domain_set(domain, kappa)
+            if kind == "random":
+                return random_set(domain, sec.number("measure"), seed, kappa)
+            if kind == "points":
+                return point_cloud(domain, [p.numbers("coords", domain.dimension)
+                                            for p in sec.items("coords")])
+            if kind == "cantor":
+                placed = "from" in spec or "to" in spec
+                return cantor_set(domain, sec.number("ratio"), sec.integer("levels"),
+                                  (sec.number("from"), sec.number("to")) if placed else None,
+                                  sec.numbers("transverse", 2, None) if domain.dimension == 2
+                                  else None)
+            mask = (interval_mask(domain, sec.number("from"), sec.number("to"))
+                    if kind == "interval" else box_mask(domain, sec.number("x0"), sec.number("x1"),
+                                                        sec.number("y0"), sec.number("y1")))
+            return set_from_mask(domain, mask, kappa)
+        except ArgumentError as exc:
+            raise sec.fault(_SET_FIELDS.get(exc.arg, exc.arg), str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(sec.path, str(exc)) from exc
 
 
 def build_field(spectrum, spec, rng):
@@ -247,9 +267,9 @@ def build_field(spectrum, spec, rng):
     return spec["amplitude"] * spectrum.vectors[:, spec["k"] - 1]
 
 
-def _field_spec(cfg, name, default, n_modes):
-    """Control field `name` with its own default kind and a checked mode index."""
-    sec = cfg.section(name, {})
+def _field_spec(sec, default, n_modes):
+    """A control field's section, read with its own default kind and a
+    checked mode index."""
     spec = {"kind": sec.choice("kind", ("zero", "random", "mode"), default)}
     if spec["kind"] == "mode":
         spec["k"] = sec.integer("k", 1, least=1, most=n_modes)
@@ -260,7 +280,8 @@ def _field_spec(cfg, name, default, n_modes):
 def _lambda_grid(cfg):
     if isinstance(cfg.spec.get("lambda_grid"), dict):
         spec = cfg.section("lambda_grid")
-        grid = np.linspace(spec.number("min"), spec.number("max"), spec.integer("count", least=1))
+        grid = np.linspace(spec.number("min"), spec.number("max"),
+                           spec.integer("count", least=GROWTH_FIT_MIN_POINTS))
     else:
         grid = np.asarray(cfg.numbers("lambda_grid"), dtype=float)
     if grid.size < GROWTH_FIT_MIN_POINTS or np.any(np.diff(grid) <= 0):
@@ -273,13 +294,9 @@ def _norms(cfg, obs):
     mask, sup on a point cloud."""
     allowed = ("l2", "l1") if obs.kind == CELL_MASK else ("sup",)
     norms = cfg.get("norms", list, [allowed[0]])
-    if not norms:
-        raise cfg.fault("norms", f"a {obs.kind} set takes one or more of {list(allowed)}")
-    for nm in norms:
-        if nm not in allowed:
-            raise cfg.fault("norms", f"a {obs.kind} set takes {list(allowed)}, got {nm!r}")
-    if len(set(norms)) < len(norms):
-        raise cfg.fault("norms", f"names a norm more than once: {norms}")
+    if not (norms and all(nm in allowed for nm in norms) and len(set(norms)) == len(norms)):
+        raise cfg.fault("norms", f"a {obs.kind} set takes one or more of {list(allowed)}, "
+                        f"each once; got {norms}")
     return norms
 
 
@@ -291,9 +308,9 @@ def _chart_params(cfg):
     s = 0 and take second differences over three nodes of the cutoff's core
     |z| <= z_extent/2, which every n_z >= 7 provides.
     """
-    if not cfg.spec.get("chart"):
+    chart = cfg.section("chart", None)
+    if not chart.spec:
         return None
-    chart = cfg.section("chart")
     return (chart.numbers("a_diag", 2, [4.0, 1.0], above=0),
             chart.number("s_max", 0.05, above=0),
             chart.integer("n_s", 10, least=2),
@@ -311,26 +328,28 @@ class RunPlan:
     experiment: str
     seed: int
     config_hash: str
-    out: str
+    out: Path
     spectrum: Spectrum
     obs: ObservationSet | None
     params: dict
     doubled: tuple | None
 
 
-def _setup(raw) -> RunPlan:
+def _setup(raw, out_dir=None) -> RunPlan:
     """The one reader of a config. Reads, defaults and checks every field the
     family uses and works out the spectrum it needs (the top of the lambda
-    grid, `modes`, `count` or `lambda_max`); only then assembles and solves.
-    A cutoff below the first eigenfrequency, which only the solve reveals,
-    is a ConfigError as well."""
+    grid, `modes`, `count` or `lambda_max`), rejects every key no read took,
+    and checks that the output directory (`out_dir`, else `out`) can be made;
+    only then assembles and solves. A cutoff below the first eigenfrequency,
+    which only the solve reveals, is a ConfigError as well."""
     cfg = _Section(raw)
     exp = cfg.choice("experiment", tuple(RUNNERS))
     domain = build_domain(cfg.get("domain", dict))
     coeff_spec = cfg.get("coefficients", dict)
     observed = exp in ("constant-sweep", "interp-check", "control")
     set_spec = cfg.get("set", dict) if observed else {}
-    out = cfg.get("out", str) if raw.get("out") else f"heatlab-out/{exp}"
+    out = cfg.get("out", str, None)   # read and checked even when out_dir overrides it
+    out = Path(out_dir or out or f"heatlab-out/{exp}")
     n = domain.n_unknowns
     p, lam_max, count = {}, None, None
     if exp == "spectrum":
@@ -343,23 +362,22 @@ def _setup(raw) -> RunPlan:
         s, t = cfg.number("s", 0.0), cfg.number("t")
         if not (0 <= s < t):
             raise cfg.fault("s", f"need 0 <= s < t, got s={s}, t={t}")
-        eps = cfg.number("epsilon", 0.5)
-        if not (0 < eps < 1):
-            raise cfg.fault("epsilon", "must lie in (0, 1)")
-        p.update(s=s, t=t, epsilon=eps, batch=cfg.integer("batch", 50, least=1))
+        p.update(s=s, t=t, epsilon=cfg.number("epsilon", 0.5, above=0, below=1),
+                 batch=cfg.integer("batch", 50, least=1))
     elif exp == "control":
         count = cfg.integer("modes", n, least=1, most=n)
         sched = cfg.section("schedule")
-        try:
-            p["schedule"] = lr_schedule(sched.number("T"), sched.number("rho"),
-                                        sched.integer("steps"))
+        try:   # the bounds are the readers'; lr_schedule's one fault left is times
+               # that collide in floating point, which no one field carries
+            p["schedule"] = lr_schedule(sched.number("T", above=0),
+                                        sched.number("rho", above=0, below=1),
+                                        sched.integer("steps", least=2))
         except ValueError as exc:
             raise ConfigError(sched.path, str(exc)) from exc
         p["mode"] = cfg.choice("mode", ("impulsive", "distributed"), "impulsive")
-        p["u0"] = _field_spec(cfg, "u0", "random", count)
-        p["v0"] = _field_spec(cfg, "v0", "zero", count)
+        p["u0"] = _field_spec(cfg.section("u0", {}), "random", count)
+        p["v0"] = _field_spec(cfg.section("v0", {}), "zero", count)
         p["cost_rate"] = cfg.number("cost_rate", 5e-4, above=0)
-        p["c_lambda"] = cfg.number("c_lambda", DEFAULT_C_LAMBDA, above=0)
         p["time_slabs"] = cfg.integer("time_slabs", 32, least=1)
     else:
         if domain.dimension != 1:
@@ -378,6 +396,10 @@ def _setup(raw) -> RunPlan:
         p["norms"] = _norms(cfg, obs)
     if p.get("mode") == "distributed" and obs.kind != CELL_MASK:
         raise cfg.fault("set", "distributed control needs a cell-mask set")
+    cfg.close()
+    base = next(d for d in (out, *out.parents) if d.exists())   # what mkdir builds on
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise cfg.fault("out", f"{str(out)!r} is not a directory that can be made and written")
     op = assemble(domain, coeffs)
     try:
         spectrum = compute_spectrum(op, lam_max=lam_max, count=count)
@@ -537,7 +559,7 @@ def run_control(plan: RunPlan, out: Path, log):
                "cost_rate": p["cost_rate"], "mode": p["mode"]}
 
     if p["mode"] == "impulsive":
-        sched = synthesize(spec, obs, seq, u0, v0, c_lambda=p["c_lambda"])
+        sched = synthesize(spec, obs, seq, u0, v0)
         sim = simulate(spec, u0, sched)
         led = cost_report(sched, p["cost_rate"])
         _export_schedule(sched, out / "schedule.json")
@@ -571,8 +593,7 @@ def run_control(plan: RunPlan, out: Path, log):
                 - sched.terminal_deficit) <= 1e-12 * max(1.0, sched.terminal_deficit))
         checks["moment_residuals"] = all(s.moment_residual <= 1e-6 for s in sched.steps)
     else:
-        res = distributed_control(spec, obs, seq, p["time_slabs"], u0, v0,
-                                  c_lambda=p["c_lambda"])
+        res = distributed_control(spec, obs, seq, p["time_slabs"], u0, v0)
         rows = [(sc.time, sc.end, sc.lambda_cutoff, sc.slabs.size,
                  float(np.abs(sc.payload).max())) for sc in res.steps]
         write_csv(out / "windows.csv",
@@ -662,8 +683,8 @@ def run(cfg: dict, out_dir=None, threads=None, verbose=False):
     spectral cutoff below the first eigenfrequency.
     """
     _Section({"threads": threads}).integer("threads", None, least=1)
-    plan = _setup(cfg)
-    out = Path(out_dir or plan.out)
+    plan = _setup(cfg, out_dir)
+    out = plan.out
     out.mkdir(parents=True, exist_ok=True)
     lines = []
 

@@ -175,10 +175,17 @@ class SupConstant:
 
 
 def constant_sup(spectrum: Spectrum, obs: ObservationSet, lam_max: float) -> SupConstant:
-    """Exact discrete constant sup { ||phi||_inf : phi in the band,
-    |phi| <= 1 on the cloud }, the maximum over grid nodes y of the linear
-    program g(V[y]) = max { V[y] u : A u <= 1 }, where V is the band basis,
-    P its m cloud rows and A = [P; -P].
+    """Discrete constant sup { ||phi||_inf : phi in the band, |phi| <= 1 on
+    the cloud }, the maximum over grid nodes y of the linear program
+    g(V[y]) = max { V[y] u : A u <= 1 }, where V is the band basis, P its m
+    cloud rows and A = [P; -P].
+
+    The value is exact (the vertex value of an optimal basis) when the
+    maximizing node is settled by a basis within _BASIS_MAX_COND. A node
+    whose vertex has no such basis keeps HiGHS's float optimum, which is off
+    the exact LP optimum by the solver's own error: up to 6.1e-10 relative
+    was measured, on a 52-cell Dirichlet interval with 10 modes and
+    sigma_min / sigma_max of P at 1.3e-7, just above the floor.
 
     Every node carries an upper bound on g, and nodes are settled one at a
     time, always the open node with the largest bound, until no bound

@@ -1,4 +1,6 @@
+import ast
 import copy
+import importlib.util
 import json
 import math
 import os
@@ -83,17 +85,6 @@ def test_missing_seed_with_random_initial_state(tmp_path):
     with pytest.raises(ConfigError) as err:
         _setup(cfg)
     assert err.value.field == "seed"
-
-
-def test_sampled_coefficients_from_csv(tmp_path):
-    from heatlab.experiments import build_coefficients, build_domain
-    dom = build_domain(dict(INTERVAL, cells=6))
-    path = tmp_path / "c.csv"
-    with open(path, "w") as fh:
-        for i in range(7):
-            fh.write(f"{i},1.0,{1.0 + 0.01 * i}\n")
-    cf = build_coefficients(dom, {"kind": "sampled", "csv": str(path)}, seed=0)
-    assert cf.kappa[6] == pytest.approx(1.06)
 
 
 def test_sampled_tables_run_as_the_constant_field(tmp_path):
@@ -215,6 +206,23 @@ BAD_NESTED = [
           coefficients=dict(SAMPLED, kappa=[1.0] * 20)), "coefficients.kappa",
      "sampled-kappa-short"),
 ]
+# keys that no reader takes, which used to be ignored, and schedules whose
+# times collide in floating point, which used to fail after the eigensolve
+STRAY = [
+    (dict(INTERP, epsilom=0.3), "epsilom", "misspelled-epsilon"),
+    (dict(SPECTRUM, set={"kind": "full"}), "set", "set-on-spectrum"),
+    (dict(CONTROL, u0={"kind": "random", "k": 2}), "u0.k", "mode-index-on-random-u0"),
+    (dict(SWEEP, set={"kind": "full", "measure": 1.0}), "set.measure", "measure-on-full-set"),
+    (dict(SWEEP, set={"kind": "cantor", "ratio": 0.3, "levels": 3, "transverse": [0.0, 1.0]}),
+     "set.transverse", "transverse-on-interval"),
+    (dict(DOUBLE, chart=dict(DOUBLE["chart"], nz=401)), "chart.nz", "misspelled-chart-n-z"),
+    (dict(SPECTRUM, coefficients=dict(CONST, lip_g=0.5)), "coefficients.lip_g",
+     "lip-g-on-constant"),
+    (dict(CONTROL, schedule={"T": 1.0, "rho": 1e-9, "steps": 2}), "schedule",
+     "schedule-last-time-at-horizon"),
+    (dict(CONTROL, schedule={"T": 1.0, "rho": 0.5, "steps": 60}), "schedule",
+     "schedule-times-collide"),
+]
 # coefficient faults that used to end in a traceback (exit 1)
 BAD_COEFFICIENTS = [
     dict(LIPSCHITZ, lip_g="x"),
@@ -244,9 +252,9 @@ BAD_COEFFICIENTS = [
     (dict(DOUBLE, chart=dict(DOUBLE["chart"], a_diag=[4.0])), "chart.a_diag"),
     (dict(DOUBLE, chart=dict(DOUBLE["chart"], a_diag=[-4.0, 1.0])), "chart.a_diag"),
     (dict(INTERP, batch=0), "batch"),
-    (dict(CONTROL, schedule={"T": 1.0, "rho": 1.0, "steps": 3}), "schedule"),
-    (dict(CONTROL, schedule={"T": 1.0, "rho": 0.5, "steps": 1}), "schedule"),
-    (dict(CONTROL, schedule={"T": 0.0, "rho": 0.5, "steps": 3}), "schedule"),
+    (dict(CONTROL, schedule={"T": 1.0, "rho": 1.0, "steps": 3}), "schedule.rho"),
+    (dict(CONTROL, schedule={"T": 1.0, "rho": 0.5, "steps": 1}), "schedule.steps"),
+    (dict(CONTROL, schedule={"T": 0.0, "rho": 0.5, "steps": 3}), "schedule.T"),
     (dict(CONTROL, cost_rate=0.0), "cost_rate"),
     (dict(CONTROL, c_lambda=-1.0), "c_lambda"),
     (dict(CONTROL, mode="distributed", time_slabs=0), "time_slabs"),
@@ -267,7 +275,7 @@ BAD_COEFFICIENTS = [
     (dict(SWEEP, lambda_grid=[3, 2, 4, 5, 6]), "lambda_grid"),
     (dict(SWEEP, lambda_grid={"min": 5, "max": 3, "count": 5}), "lambda_grid"),
     (dict(SWEEP, lambda_grid=[1.2, 2.4, 3.6, 4.8]), "lambda_grid"),
-    (dict(SWEEP, lambda_grid={"min": 1.5, "max": 6.5, "count": 4}), "lambda_grid"),
+    (dict(SWEEP, lambda_grid={"min": 1.5, "max": 6.5, "count": 4}), "lambda_grid.count"),
     (dict(CONTROL, mode="distributed", set={"kind": "cantor", "ratio": 0.3, "levels": 3}),
      "set"),
     *((dict(SPECTRUM, coefficients=c), f"coefficients.{f}") for c, f in zip(
@@ -277,10 +285,12 @@ BAD_COEFFICIENTS = [
     (dict(SPECTRUM, coefficients=dict(LIPSCHITZ, lip_kappa=-1.0)), "coefficients.lip_kappa"),
     (dict(SPECTRUM, coefficients=dict(CONST, kappa="a")), "coefficients.kappa"),
     (dict(SPECTRUM, coefficients=dict(CONST, g=[[True]])), "coefficients.g"),
-    (dict(SPECTRUM, coefficients={"kind": "sampled", "csv": 7}), "coefficients.csv"),
+    (dict(SPECTRUM, domain=dict(INTERVAL, cells=20), coefficients=dict(SAMPLED, csv=7)),
+     "coefficients.csv"),
     (dict(SPECTRUM, coefficients={"kind": "mystery"}), "coefficients.kind"),
     *((dict(SWEEP, domain=domain, set=set_), f) for set_, domain, f in BAD_SETS),
     *((cfg, f) for cfg, f, _ in BAD_NESTED),
+    *((cfg, f) for cfg, f, _ in STRAY),
 ], ids=["unknown-set-kind", "sup-on-mask", "unknown-norm", "unknown-control-mode",
         "double-on-rectangle", "s-above-t", "s-equals-t", "epsilon-above-one", "unknown-u0-kind",
         "unknown-v0-kind", "chart-s-max-zero", "chart-n-z-one", "chart-n-s-zero",
@@ -299,7 +309,8 @@ BAD_COEFFICIENTS = [
         "coords-flat-list", "coords-empty", "coords-flat-nan", "coords-nan",
         "coords-flat-outside", "coords-outside", "coords-2d-one-coordinate", "coords-missing",
         "transverse-not-a-pair", "box-x1-missing", "interval-to-missing",
-        "cantor-levels-missing", *(name for *_, name in BAD_NESTED)])
+        "cantor-levels-missing", *(name for *_, name in BAD_NESTED),
+        *(name for *_, name in STRAY)])
 def test_config_errors_raise_before_the_eigensolve(tmp_path, monkeypatch, cfg, field):
     def no_eigensolve(*args, **kwargs):
         raise AssertionError("eigensolve reached on an invalid config")
@@ -404,6 +415,43 @@ def test_config_doc_lists_the_cli_options(capsys):
     assert documented == printed - {"--help"}
 
 
+READERS = {"get", "section", "choice", "number", "integer", "items", "numbers"}
+
+
+def reader_fields():
+    """The string-literal first argument of every reader call in
+    experiments.py, outside run(), whose `threads` is an argument of the
+    call and not a config field."""
+    tree = ast.parse(Path(heatlab.experiments.__file__).read_text())
+    run_def = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "run")
+    skip = set(map(id, ast.walk(run_def)))
+    return {node.args[0].value for node in ast.walk(tree)
+            if id(node) not in skip and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr in READERS
+            and node.args and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)}
+
+
+def documented_fields():
+    """Every part of every backticked name in the `field` column of each
+    table of docs/config.md."""
+    doc = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+    names = set()
+    for table in re.findall(r"(?:^\|.*\|\n)+", doc, flags=re.M):
+        rows = [[c.strip() for c in line.strip("|").split("|")] for line in table.splitlines()]
+        if "field" in rows[0]:
+            col = rows[0].index("field")
+            for row in rows[2:]:
+                for name in re.findall(r"`([^`]+)`", row[col]):
+                    names.update(name.split("."))
+    return names
+
+
+def test_config_doc_lists_the_reader_fields():
+    # the field tables are the schema the reader enforces, no more and no less
+    assert documented_fields() == reader_fields()
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_threads_below_one_rejected(tmp_path, threads):
     with pytest.raises(ConfigError) as err:
@@ -422,6 +470,24 @@ def test_v0_without_kind_is_the_zero_field(tmp_path):
         assert (runs[0][2] / name).read_bytes() == (runs[1][2] / name).read_bytes()
 
 
+@pytest.mark.parametrize("where", ["config", "--out"])
+def test_out_naming_a_file_exits_2_before_the_eigensolve(tmp_path, monkeypatch, capsys, where):
+    # it used to end in mkdir's FileExistsError after the eigensolve: exit 1
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve reached with an unusable output directory")
+    monkeypatch.setattr(heatlab.experiments, "compute_spectrum", no_eigensolve)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "below"):
+        if where == "config":
+            argv = ["run", str(write_cfg(tmp_path, dict(SPECTRUM, out=str(out))))]
+        else:
+            argv = ["run", str(write_cfg(tmp_path, SPECTRUM)), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: out: ")
+    assert taken.read_text() == ""
+
+
 class EigensolveReached(Exception):
     pass
 
@@ -434,6 +500,30 @@ def test_shipped_configs_pass_setup(monkeypatch, path):
     monkeypatch.setattr(heatlab.experiments, "compute_spectrum", reached)
     with pytest.raises(EigensolveReached):
         _setup(json.loads(path.read_text()))
+
+
+def load_workloads():
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("heatlab_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["sup-cloud", "grid2d", "mixed-1d"])
+def test_benchmark_configs_pass_setup(monkeypatch, workload):
+    # every config the benchmark runs for seeds 0-9, full and tiny, and its
+    # warm-ups: a field the reader stops taking must not strand the benchmark
+    def reached(*args, **kwargs):
+        raise EigensolveReached
+    monkeypatch.setattr(heatlab.experiments, "compute_spectrum", reached)
+    workloads = load_workloads()
+    configs = [workloads.warmup(workload, tiny) for tiny in (False, True)]
+    configs += [cfg for seed in range(10) for tiny in (False, True)
+                for cfg in workloads.batch(workload, seed, tiny)]
+    for cfg in configs:
+        with pytest.raises(EigensolveReached):
+            _setup(cfg)
 
 
 def config_keys(node, path=()):
@@ -468,7 +558,8 @@ def test_every_config_mutation_names_its_field(monkeypatch, path):
     # true and null in turn. Each mutated config reaches the eigensolve or
     # raises ConfigError naming the key's dotted field; a list element is
     # named by its list's field. true never passes, nor does "x" in place of
-    # anything but a string. No key is exempt.
+    # anything but a string. No key is exempt. A stray key added to any
+    # object, the whole config included, never passes either.
     def reached(*args, **kwargs):
         raise EigensolveReached
     monkeypatch.setattr(heatlab.experiments, "compute_spectrum", reached)
@@ -488,6 +579,16 @@ def test_every_config_mutation_names_its_field(monkeypatch, path):
             must_raise = new is True or new == "x" and not isinstance(value, str)
             if outcome != field and (outcome is not None or must_raise):
                 wrong.append(f"{field} {name}: {outcome or 'accepted'}")
+    for where in [(), *(w for w, v in config_keys(cfg) if isinstance(v, dict))]:
+        field = ".".join((*where, "stray"))
+        try:
+            _setup(mutated(cfg, (*where, "stray"), 1.0))
+        except EigensolveReached:
+            outcome = "accepted"
+        except ConfigError as exc:
+            outcome = exc.field
+        if outcome != field:
+            wrong.append(f"{field} added: {outcome}")
     assert wrong == []
 
 

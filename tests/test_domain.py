@@ -8,7 +8,6 @@ from heatlab import (
     build_rectangle,
     constant_coefficients,
     coefficients_from_tables,
-    load_coefficients_csv,
     random_lipschitz_coefficients,
 )
 from heatlab.errors import CoefficientRegularityError, ConfigError
@@ -122,18 +121,6 @@ def test_build_coefficients_dispatch():
     with pytest.raises(ConfigError) as err:
         build_coefficients(dom, {"kind": "mystery"}, seed=0)
     assert err.value.field == "coefficients.kind"
-
-
-def test_csv_roundtrip(tmp_path):
-    dom = build_interval(1.0, 6, NEUMANN)
-    ref = random_lipschitz_coefficients(dom, 1.0, 1.0, seed=5)
-    path = tmp_path / "coeffs.csv"
-    with open(path, "w") as fh:
-        for i in range(dom.n_nodes_total):
-            fh.write(f"{i},{ref.g[i, 0, 0]:.17g},{ref.kappa[i]:.17g}\n")
-    loaded = load_coefficients_csv(dom, path)
-    assert np.allclose(loaded.g, ref.g)
-    assert np.allclose(loaded.kappa, ref.kappa)
 
 
 GRIDS = [
